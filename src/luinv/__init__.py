@@ -28,7 +28,6 @@ from .characters import (
     trivial_character,
 )
 from .dimensions import (
-    DimensionQuery,
     mixed_dimension,
     restricted_dimension,
     stable_dimension,

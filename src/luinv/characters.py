@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import (
-    CycleType,
     Partition,
     centralizer_order,
     cycle_types_of,
@@ -21,6 +20,13 @@ from .combinatorics import (
 )
 
 Rational = int | Fraction
+
+
+@lru_cache(maxsize=None)
+def _class_cycles(m: int) -> tuple[tuple[int, ...], ...]:
+    """Cycle lengths, in decreasing order, of each class of S_m in the
+    canonical class order; its length is the class count."""
+    return tuple(a.cycle_lengths() for a in cycle_types_of(m))
 
 
 @dataclass(frozen=True)
@@ -31,30 +37,15 @@ class ClassFunction:
     values: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(partitions_of(self.m)):
+        if len(self.values) != len(_class_cycles(self.m)):
             raise ValueError(
                 f"need one value per class of S_{self.m}, got {len(self.values)}"
             )
-
-    def __call__(self, a: CycleType) -> Rational:
-        return self.values[_class_index(a)]
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        return pointwise_product(self, other)
 
 
 def _require_same_degree(f: ClassFunction, g: ClassFunction) -> None:
     if f.m != g.m:
         raise ValueError(f"degree mismatch: S_{f.m} vs S_{g.m}")
-
-
-@lru_cache(maxsize=None)
-def _class_index_table(m: int) -> dict[tuple[int, ...], int]:
-    return {a.counts: i for i, a in enumerate(cycle_types_of(m))}
-
-
-def _class_index(a: CycleType) -> int:
-    return _class_index_table(a.m)[a.counts]
 
 
 @lru_cache(maxsize=None)
@@ -87,23 +78,18 @@ def _border_strip_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 def irreducible_character(lam: Partition) -> ClassFunction:
     """The character of the S_m irreducible indexed by lam, on every class."""
     m = lam.m
-    values = tuple(
-        _border_strip_value(lam.parts, tuple(sorted(a.cycle_lengths(), reverse=True)))
-        for a in cycle_types_of(m)
-    )
+    values = tuple(_border_strip_value(lam.parts, c) for c in _class_cycles(m))
     return ClassFunction(m, values)
 
 
 def trivial_character(m: int) -> ClassFunction:
     """chi_(m): constant 1."""
-    return ClassFunction(m, (1,) * len(partitions_of(m)))
+    return ClassFunction(m, (1,) * len(_class_cycles(m)))
 
 
 def sign_character(m: int) -> ClassFunction:
     """chi_(1,...,1): (-1)^(m - number of cycles) on each class."""
-    values = tuple(
-        (-1) ** (m - sum(a.counts)) for a in cycle_types_of(m)
-    )
+    values = tuple((-1) ** (m - len(c)) for c in _class_cycles(m))
     return ClassFunction(m, values)
 
 

@@ -1,5 +1,10 @@
 """Dimension formulas for spaces of local-unitary invariant polynomials.
 
+The stabilized dimension is read off the cycle-index product of the series
+module; the character route, (chi_(m), (sum of chi_lam^2)^(k-1)), is its
+independent oracle, and the bounded-dimension formula truncates that inner
+sum by row count.  Every result is an exact int.
+
 All gradings use the half-degree m: a degree-m element is a real polynomial
 of degree m in the state coefficients and m in their conjugates, i.e. of
 real degree 2m.
@@ -7,8 +12,6 @@ real degree 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .characters import (
@@ -20,57 +23,19 @@ from .characters import (
     pointwise_sum,
     trivial_character,
 )
-from .combinatorics import centralizer_order, cycle_types_of, partitions_of
+from .combinatorics import partitions_of
 from .errors import IntegralityError
-
-
-@dataclass(frozen=True)
-class DimensionQuery:
-    """A request for the invariant-space dimension of a k-subsystem space.
-
-    When local_dims is given it lists all k subsystem dimensions, the last
-    one playing the role of the environment; otherwise every subsystem is
-    taken large enough for the dimension to have stabilized.
-    """
-
-    k: int
-    m: int
-    local_dims: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 0:
-            raise ValueError("need k >= 1 and m >= 0")
-        if self.local_dims is not None:
-            if len(self.local_dims) != self.k:
-                raise ValueError("local_dims must list one dimension per subsystem")
-            if any(n < 1 for n in self.local_dims):
-                raise ValueError("local dimensions must be positive")
-
-    def resolve(self) -> int:
-        if self.local_dims is None:
-            return stable_dimension(self.k, self.m)
-        if self.local_dims[-1] < self.m:
-            raise ValueError(
-                "the last (environment) dimension must be at least m for the "
-                "restricted formula to apply"
-            )
-        return restricted_dimension(self.local_dims[:-1], self.m)
+from .series import hilbert_series
 
 
 def stable_dimension(k: int, m: int) -> int:
     """Dimension of the degree-m invariant space once all local dimensions
-    are at least m: sum over cycle types a of z(a)^(k-2).
-
-    For k = 1 the terms are exact rationals whose sum is asserted integral.
+    are at least m: the t^m coefficient of the cycle-index product
+    hilbert_series(k, m), i.e. the sum over cycle types a of z(a)^(k-2).
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    total = Fraction(0)
-    for a in cycle_types_of(m):
-        total += Fraction(centralizer_order(a)) ** (k - 2)
-    if total.denominator != 1:
-        raise IntegralityError(f"stable dimension not integral: {total}")
-    return int(total)
+    return hilbert_series(k, m)[m]
 
 
 def stable_dimension_via_characters(k: int, m: int) -> int:

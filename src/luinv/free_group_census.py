@@ -9,7 +9,6 @@ independent of the identities they are used to verify.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import EnumerationBoundError
@@ -97,12 +96,27 @@ class _UnionFind:
 
 
 def _check_bound(degree: int, length: int) -> None:
-    estimate = math.factorial(degree) ** length
+    """Refuse when the degree!^length raw tuples exceed MAX_TUPLES.
+
+    The count is multiplied up one factor at a time and given up once it
+    passes MAX_TUPLES**2, so the check's own cost does not grow with the
+    input; below that the refusal states the exact count.
+    """
+    estimate = 1
+    for _ in range(length if degree > 1 else 0):
+        for i in range(2, degree + 1):
+            estimate *= i
+            if estimate > MAX_TUPLES**2:
+                _refuse(f"more than {MAX_TUPLES**2}", degree, length)
     if estimate > MAX_TUPLES:
-        raise EnumerationBoundError(
-            f"refusing to enumerate {estimate} permutation tuples "
-            f"(degree {degree}, tuple length {length}, limit {MAX_TUPLES})"
-        )
+        _refuse(estimate, degree, length)
+
+
+def _refuse(estimate, degree: int, length: int) -> None:
+    raise EnumerationBoundError(
+        f"refusing to enumerate {estimate} permutation tuples "
+        f"(degree {degree}, tuple length {length}, limit {MAX_TUPLES})"
+    )
 
 
 def _orbit_count(degree: int, length: int, transitive_only: bool) -> int:

@@ -20,8 +20,6 @@ from .states import DensityMatrix, PureState, partial_trace, projector
 from .subsets import SubsetMask, all_subsets
 
 __all__ = [
-    "SubsetMask",
-    "all_subsets",
     "InvariantVector",
     "invariant_I",
     "invariant_J",

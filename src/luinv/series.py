@@ -1,9 +1,15 @@
-"""Truncated formal power series with exact coefficients, the Hilbert
-series of the invariant algebra, and Euler-product inversion.
+"""The Hilbert series of the invariant algebra and its Euler-product
+inversion, in exact integers.
 
-No floating point enters this module: the integrality of the extracted
-exponents is the claim under test, so every coefficient is an int or a
-Fraction.
+The series is the cycle-index product
+
+    prod over i >= 1 of ( sum over a >= 0 of (i^a * a!)^(k-2) * t^(i*a) ),
+
+whose t^m coefficient is the sum over cycle types of S_m of z^(k-2), z the
+centralizer order.  No floating point enters this module: the integrality
+of the extracted exponents is the claim under test, so every coefficient
+is an int.  Only k = 1, with its negative power of z, runs the product over
+exact rationals, and its coefficients are asserted integral.
 """
 
 from __future__ import annotations
@@ -12,10 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import stable_dimension
 from .errors import IntegralityError
-
-Rational = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,7 @@ class PowerSeries:
     """A series known exactly modulo t^(order+1)."""
 
     order: int
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -31,51 +34,8 @@ class PowerSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need exactly order+1 coefficients")
 
-    def __getitem__(self, n: int) -> Rational:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(n, tuple(_normalize(c) for c in out))
-
-    def log(self) -> "PowerSeries":
-        """Formal logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        n = self.order
-        c = self.coeffs
-        ell: list[Rational] = [Fraction(0)] * (n + 1)
-        for i in range(1, n + 1):
-            acc = Fraction(i) * c[i]
-            for j in range(1, i):
-                acc -= j * ell[j] * c[i - j]
-            ell[i] = acc / i
-        return PowerSeries(n, tuple(_normalize(x) for x in ell))
-
-    def _check(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-
-
-def _normalize(x: Rational) -> Rational:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -104,87 +64,75 @@ class GeneratorCounts:
         return self.u[d - 1]
 
 
-def one(order: int) -> PowerSeries:
-    return PowerSeries(order, (1,) + (0,) * order)
+def _multiply_in(coeffs: list, step: int, weights: list) -> None:
+    """coeffs *= sum over j of weights[j] * t^(step*j), in place and
+    truncated; weights[0] must be 1."""
+    for n in range(len(coeffs) - 1, step - 1, -1):
+        coeffs[n] += sum(
+            weights[j] * coeffs[n - step * j] for j in range(1, n // step + 1)
+        )
 
 
 def hilbert_series(k: int, order: int) -> PowerSeries:
     """Generating series of the stabilized invariant dimensions of k
-    subsystems, in the half-degree grading."""
+    subsystems, in the half-degree grading: the cycle-index product."""
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    return PowerSeries(order, tuple(stable_dimension(k, m) for m in range(order + 1)))
-
-
-def _binomial_factor(d: int, exponent: int, order: int) -> PowerSeries:
-    """(1 - t^d)^exponent truncated; exponent may be any integer."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for j in range(0, order // d + 1):
-        if exponent >= 0:
-            if j > exponent:
-                break
-            coeffs[j * d] = (-1) ** j * math.comb(exponent, j)
-        else:
-            coeffs[j * d] = math.comb(-exponent + j - 1, j)
-    return PowerSeries(order, tuple(_normalize(c) for c in coeffs))
+    e = k - 2
+    coeffs: list = [1] + [0] * order
+    for i in range(1, order + 1):
+        # weights[a] = (i^a * a!)^e, built one factor (i*a)^e at a time.
+        weights = [1]
+        for a in range(1, order // i + 1):
+            step = (i * a) ** e if e >= 0 else Fraction(1, i * a)
+            weights.append(weights[-1] * step)
+        _multiply_in(coeffs, i, weights)
+    if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
+        raise IntegralityError(f"stable dimension not integral: {coeffs}")
+    return PowerSeries(order, tuple(int(c) for c in coeffs))
 
 
 def euler_exponents(s: PowerSeries, k: int | None = None) -> GeneratorCounts:
     """Solve s(t) = prod over d of (1-t^d)^(-u_d) for the exponents.
 
-    Iterative stripping: after dividing out the factors for e < d, the
-    coefficient of t^d is u_d.  Non-integral or negative exponents raise
+    With a_n the coefficients of s, b_n = n*a_n - sum over j < n of
+    b_j*a_(n-j) is the t^n coefficient of t*s'/s, which is the sum of d*u_d
+    over the divisors d of n; so u_n = (b_n - sum over proper divisors d of
+    d*u_d) / n.  An inexact division or a negative exponent raises
     IntegralityError naming the offending degree.
     """
-    if s.coeffs[0] != 1:
+    a = s.coeffs
+    if a[0] != 1:
         raise ValueError("Euler products require constant term 1")
-    order = s.order
-    running = s
-    exponents: list[int] = []
-    for d in range(1, order + 1):
-        u = running.coeffs[d]
-        if isinstance(u, Fraction) and u.denominator != 1:
-            raise IntegralityError(f"exponent u_{d} = {u} is not an integer")
-        u = int(u)
-        if u < 0:
-            raise IntegralityError(f"exponent u_{d} = {u} is negative")
-        exponents.append(u)
-        if u:
-            running = running * _binomial_factor(d, u, order)
-    return GeneratorCounts(tuple(exponents), k)
-
-
-def _euler_exponents_via_log(s: PowerSeries) -> tuple[int, ...]:
-    """Second route to the same exponents, through log s.
-
-    n * [t^n] log s = sum over divisors d of n of d * u_d, solved for u_d
-    by subtracting proper-divisor contributions degree by degree.
-    """
-    if s.coeffs[0] != 1:
-        raise ValueError("Euler products require constant term 1")
-    logs = s.log()
-    u: list[int] = []
+    b = [0] * (s.order + 1)
+    u = [0] * (s.order + 1)
     for n in range(1, s.order + 1):
-        acc = Fraction(n) * logs.coeffs[n]
-        for d in range(1, n):
-            if n % d == 0:
-                acc -= d * u[d - 1]
-        value = acc / n
-        if value.denominator != 1:
-            raise IntegralityError(f"exponent u_{n} = {value} is not an integer")
-        u.append(int(value))
-    return tuple(u)
+        b[n] = n * a[n] - sum(b[j] * a[n - j] for j in range(1, n))
+        rest = b[n] - sum(d * u[d] for d in range(1, n // 2 + 1) if n % d == 0)
+        value, remainder = divmod(rest, n)
+        if remainder:
+            raise IntegralityError(
+                f"exponent u_{n} = {Fraction(rest, n)} is not an integer"
+            )
+        if value < 0:
+            raise IntegralityError(f"exponent u_{n} = {value} is negative")
+        u[n] = value
+    return GeneratorCounts(tuple(u[1:]), k)
 
 
 def expand_euler_product(counts: GeneratorCounts, order: int) -> PowerSeries:
-    """prod over d of (1-t^d)^(-u_d), truncated; inverse of euler_exponents."""
-    result = one(order)
-    for d, u in enumerate(counts.u, start=1):
-        if d > order:
-            break
+    """prod over d of (1-t^d)^(-u_d), truncated; inverse of euler_exponents.
+
+    Each factor is multiplied in from its binomial series
+    sum over j of C(u+j-1, j) * t^(d*j), with no logarithm or divisor sum,
+    so expanding the exponents checks the inversion independently.
+    """
+    coeffs = [1] + [0] * order
+    for d, u in enumerate(counts.u[:order], start=1):
         if u:
-            result = result * _binomial_factor(d, -u, order)
-    return result
+            binomials = [math.comb(u + j - 1, j) for j in range(order // d + 1)]
+            _multiply_in(coeffs, d, binomials)
+    return PowerSeries(order, tuple(coeffs))
 
 
 def free_generator_count(k: int, d: int) -> int:

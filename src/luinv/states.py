@@ -72,6 +72,8 @@ class DensityMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.shape != (side, side):
             raise ValueError(f"expected a {side}x{side} matrix, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite")
         scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
         if float(np.abs(entries - entries.conj().T).max(initial=0.0)) > HERMITICITY_TOL * scale:
             raise ValueError("matrix is not Hermitian within tolerance")

@@ -41,9 +41,6 @@ class SubsetMask:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
 
-    def intersection_size(self, other: "SubsetMask") -> int:
-        return len(self.members & other.members)
-
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.k, frozenset(range(1, self.k + 1)) - self.members)
 

@@ -121,6 +121,18 @@ def test_eval_mixed_state_J(tmp_path, capsys):
     assert out.strip() == f"{purity:.9f}"
 
 
+def test_eval_non_finite_mixed_state_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.state"
+    entries = ["0.25 0.0" if i == j else "0.0 0.0" for i in range(4) for j in range(4)]
+    entries[5] = "nan 0.0"
+    path.write_text("mixed\ndims 2 2\n" + "\n".join(entries) + "\n")
+    code, out, err = run(
+        capsys, "eval", "--invariant", "J", "--state", str(path), "--subset", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
 def test_eval_errors(tmp_path, capsys):
     path = tmp_path / "mixed.state"
     write_state_file(path, random_density_matrix((2, 2), seed=2))

@@ -1,7 +1,12 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import (
-    DimensionQuery,
+    hilbert_series,
     mixed_dimension,
     partitions_of,
     restricted_dimension,
@@ -35,6 +40,27 @@ def test_single_subsystem():
 @pytest.mark.parametrize("m", range(0, 7))
 def test_formula_equivalence(k, m):
     assert stable_dimension(k, m) == stable_dimension_via_characters(k, m)
+
+
+def _z_sum(k: int, m: int) -> Fraction:
+    """sum over partitions of m of z^(k-2), z = prod of i^a_i * a_i!, the
+    centralizer order read straight off the parts."""
+    total = Fraction(0)
+    for lam in partitions_of(m):
+        z = math.prod(
+            i ** lam.parts.count(i) * math.factorial(lam.parts.count(i))
+            for i in set(lam.parts)
+        )
+        total += Fraction(z) ** (k - 2)
+    return total
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=8))
+def test_cycle_index_product_matches_oracles(k, m):
+    value = hilbert_series(k, m)[m]
+    assert value == stable_dimension_via_characters(k, m)
+    assert value == _z_sum(k, m)
 
 
 def test_character_route_examples():
@@ -84,24 +110,6 @@ def test_mixed_dimension():
         assert mixed_dimension(k, 1) == 1
         for m in range(0, 5):
             assert mixed_dimension(k, m) == stable_dimension(k + 1, m)
-
-
-def test_query_validation():
-    with pytest.raises(ValueError):
-        DimensionQuery(0, 1)
-    with pytest.raises(ValueError):
-        DimensionQuery(2, -1)
-    with pytest.raises(ValueError):
-        DimensionQuery(2, 1, (2,))
-    with pytest.raises(ValueError):
-        DimensionQuery(2, 1, (2, 0))
-
-
-def test_query_resolution():
-    assert DimensionQuery(3, 2).resolve() == 4
-    assert DimensionQuery(3, 3, (2, 2, 4)).resolve() == 6
-    with pytest.raises(ValueError):
-        DimensionQuery(3, 3, (2, 2, 2)).resolve()  # environment below m
 
 
 def test_bad_arguments():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -69,6 +70,14 @@ def test_enumeration_bound_refused_with_estimate():
         conjugation_orbit_count(3, 6)
     with pytest.raises(EnumerationBoundError):
         count_subgroup_classes(2, 7)
+
+
+def test_enumeration_bound_check_is_cheap_for_huge_degree():
+    # (10^6)!^2 is never formed: the count is abandoned once past the limit.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBoundError, match=r"more than \d+ permutation"):
+        conjugation_orbit_count(2, 10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from luinv import (
     GeneratorCounts,
@@ -14,7 +16,6 @@ from luinv import (
     partitions_of,
     stable_dimension,
 )
-from luinv.series import _euler_exponents_via_log, one
 
 
 def test_hilbert_bipartite_is_partition_series():
@@ -44,7 +45,7 @@ def test_euler_partition_series_single_generator_per_degree():
 
 
 def test_euler_constant_series():
-    assert euler_exponents(one(5)).u == (0,) * 5
+    assert euler_exponents(PowerSeries(5, (1, 0, 0, 0, 0, 0))).u == (0,) * 5
 
 
 def test_euler_rank_two_frozen():
@@ -82,10 +83,12 @@ def test_euler_roundtrip(k):
     assert expand_euler_product(counts, 6).coeffs == series.coeffs
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_log_route_agrees_with_stripping(k):
-    series = hilbert_series(k, 6)
-    assert _euler_exponents_via_log(series) == euler_exponents(series).u
+@given(st.lists(st.integers(min_value=0, max_value=50), max_size=12))
+def test_euler_inverts_expansion(u):
+    # The expansion multiplies in binomial series directly, sharing nothing
+    # with the recurrence that inverts it.
+    series = expand_euler_product(GeneratorCounts(tuple(u)), len(u))
+    assert euler_exponents(series).u == tuple(u)
 
 
 def test_free_generator_count_examples():
@@ -104,26 +107,6 @@ def test_free_generator_count_matches_census():
 
 def test_free_generator_count_matches_census_degree_five():
     assert free_generator_count(3, 5) == count_subgroup_classes(2, 5) == 97
-
-
-def test_series_arithmetic():
-    s = PowerSeries(3, (1, 2, 0, 1))
-    t = PowerSeries(3, (1, 0, 1, 0))
-    assert (s + t).coeffs == (2, 2, 1, 1)
-    assert (s * t).coeffs == (1, 2, 1, 3)
-    with pytest.raises(ValueError):
-        s * PowerSeries(2, (1, 0, 0))
-    geom = PowerSeries(4, (1, 1, 1, 1, 1))
-    # log(1/(1-t)) = t + t^2/2 + t^3/3 + ...
-    assert geom.log().coeffs == (
-        0,
-        1,
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(1, 4),
-    )
-    with pytest.raises(ValueError):
-        PowerSeries(1, (0, 1)).log()
 
 
 def test_partition_count_sanity():

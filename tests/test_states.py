@@ -42,6 +42,15 @@ def test_density_matrix_requires_hermitian():
     DensityMatrix((2,), np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # A NaN diagonal entry would pass the Hermiticity test (nan > tol is False).
+    entries = np.eye(4, dtype=complex) / 4
+    entries[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix((2, 2), entries)
+
+
 def test_validate_physical():
     good = random_density_matrix((2, 2), seed=0)
     good.validate_physical()
