@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -89,6 +90,31 @@ def test_euler_inverts_expansion(u):
     # with the recurrence that inverts it.
     series = expand_euler_product(GeneratorCounts(tuple(u)), len(u))
     assert euler_exponents(series).u == tuple(u)
+
+
+def _strip_factors(coeffs):
+    # Reference route: read u_n off the lowest surviving coefficient, then
+    # divide (1-t^n)^(-u_n) out by multiplying in sum_j (-1)^j C(u_n, j) t^(n*j).
+    a = list(coeffs)
+    order = len(a) - 1
+    u = []
+    for n in range(1, order + 1):
+        u.append(a[n])
+        factor = [0] * (order + 1)
+        for j in range(order // n + 1):
+            factor[n * j] = (-1) ** j * comb(a[n], j)
+        a = [
+            sum(a[i] * factor[m - i] for i in range(m + 1)) for m in range(order + 1)
+        ]
+    return tuple(u)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_log_route_agrees_with_stripping(k):
+    # euler_exponents reads the exponents off t*s'/s, the integer form of
+    # the logarithmic derivative; stripping factors shares none of that.
+    series = hilbert_series(k, 6)
+    assert euler_exponents(series).u == _strip_factors(series.coeffs)
 
 
 def test_free_generator_count_examples():
