@@ -4,6 +4,10 @@ Characters are evaluated by recursive border-strip removal, memoized on
 (partition, remaining cycle lengths), with exact integer arithmetic.
 Values are indexed by cycle types in the canonical class order of the
 combinatorics module.
+
+A full table of S_m has p(m)^2 entries, and its cost roughly triples with
+every two steps of m (m = 16: 231 classes, under a second); degrees
+above CHARACTER_DEGREE_BOUND are refused before any partition is listed.
 """
 
 from __future__ import annotations
@@ -18,14 +22,26 @@ from .combinatorics import (
     cycle_types_of,
     partitions_of,
 )
+from .errors import EnumerationBoundError
 
 Rational = int | Fraction
+
+CHARACTER_DEGREE_BOUND = 16
+
+
+def _check_degree(m: int) -> None:
+    """Refuse the characters of S_m for m above CHARACTER_DEGREE_BOUND."""
+    if m > CHARACTER_DEGREE_BOUND:
+        raise EnumerationBoundError(
+            f"refusing the characters of S_{m} (degree bound {CHARACTER_DEGREE_BOUND})"
+        )
 
 
 @lru_cache(maxsize=None)
 def _class_cycles(m: int) -> tuple[tuple[int, ...], ...]:
     """Cycle lengths, in decreasing order, of each class of S_m in the
     canonical class order; its length is the class count."""
+    _check_degree(m)
     return tuple(a.cycle_lengths() for a in cycle_types_of(m))
 
 
@@ -128,6 +144,7 @@ def conjugation_character(m: int) -> ClassFunction:
     """sum over lam of chi_lam^2: the character of S_m acting on its own
     group algebra by conjugation; its value at a class is the centralizer
     order z(a)."""
+    _check_degree(m)
     total = None
     for lam in partitions_of(m):
         sq = pointwise_power(irreducible_character(lam), 2)

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .characters import irreducible_character
+from .characters import _check_degree, irreducible_character
 from .combinatorics import centralizer_order, cycle_types_of, partitions_of
 from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
@@ -103,6 +103,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_char_table(args) -> int:
+    _check_degree(args.m)
     partitions = partitions_of(args.m)
     classes = cycle_types_of(args.m)
     labels = [str(p) for p in partitions]

@@ -2,6 +2,12 @@
 the degree-2 mixed-state family J_A, the subset-parity transform between
 them, derived entanglement measures, and the higher-order analogues.
 
+The subset-parity transform is a Walsh-Hadamard transform over the 2^k
+subsets.  One helper computes it by butterflies; it serves j_from_i and
+i_from_j (exactly, on int and Fraction values) and the I-family, whose
+whole vector is one gather of coefficient pair products per dims, one
+transform along the mask axis and one weighted sum of squared moduli.
+
 Subsystem labels are 1-based (SubsetMask); basis-state indices are 0-based.
 """
 
@@ -11,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +43,9 @@ __all__ = [
 
 HIGHER_MAX_M = 3
 HIGHER_MAX_TOTAL_DIM = 81
+# Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
+# entries, that the I-family kernel builds: eight qubits fit.
+I_TABLE_BOUND = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -60,40 +70,80 @@ def _require_subset(state_k: int, subset: SubsetMask) -> None:
         raise ValueError(f"subset is over {subset.k} labels, state has {state_k}")
 
 
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """sum over B of (-1)^|A cap B| values[..., B] for every A, along the
+    last axis (length 2^k), by k butterfly passes in place.
+
+    Object arrays of ints and Fractions stay exact.
+    """
+    n = values.shape[-1]
+    half = 1
+    while half < n:
+        pairs = values.reshape(values.shape[:-1] + (n // (2 * half), 2, half))
+        low, high = pairs[..., 0, :], pairs[..., 1, :]
+        pairs[..., 0, :], pairs[..., 1, :] = low + high, low - high
+        half *= 2
+    return values
+
+
+@lru_cache(maxsize=16)
+def _pair_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and weights of the I-family.
+
+    Rows run over the index-pair combinations (a_j <= b_j at every
+    subsystem, in itertools.product order), columns over the masks B: row
+    and column pick the coefficients at (a or b) and (b or a) per subsystem,
+    swapped on the members of B.  The weight of a row is 2^-(k+c), c the
+    number of equal pairs.  Returns (indices of shape (2, rows, 2^k),
+    weights).
+    """
+    k = len(dims)
+    rows = math.prod(n * (n + 1) // 2 for n in dims)
+    if rows << k > I_TABLE_BOUND:
+        raise EnumerationBoundError(
+            f"refusing an I-family table of {rows << k} pair products "
+            f"(dims {dims}, limit {I_TABLE_BOUND})"
+        )
+    strides = [math.prod(dims[j + 1 :]) for j in range(k)]
+    pairs = [np.array([(a, b) for a in range(n) for b in range(a, n)]) for n in dims]
+    choice = np.indices([len(p) for p in pairs]).reshape(k, rows)
+    masks = np.arange(1 << k)
+    index = np.zeros((2, rows, 1 << k), dtype=np.intp)
+    equal = np.zeros(rows, dtype=np.intp)
+    for j in range(k):
+        a, b = pairs[j][choice[j]].T
+        swapped = (masks >> j & 1).astype(bool)
+        index[0] += strides[j] * np.where(swapped, b[:, None], a[:, None])
+        index[1] += strides[j] * np.where(swapped, a[:, None], b[:, None])
+        equal += a == b
+    weights = np.ldexp(1.0, -(k + equal))
+    index.flags.writeable = False
+    weights.flags.writeable = False
+    return index, weights
+
+
+def invariant_I_vector(psi: PureState) -> InvariantVector:
+    """Degree-4 invariants of every subset A: a weighted sum over index-pair
+    combinations of |sum over masks B of (-1)^|A cap B| psi_b0 psi_b1|^2,
+    the inner sums being one Walsh-Hadamard transform per combination.
+
+    Refused when the table of pair products, prod over j of n_j(n_j+1)/2
+    times 2^k entries, exceeds I_TABLE_BOUND.
+    """
+    index, weights = _pair_table(psi.dims)
+    products = psi.coeffs[index[0]] * psi.coeffs[index[1]]
+    inner = _walsh_hadamard(products)
+    values = weights @ (inner.real**2 + inner.imag**2)
+    return InvariantVector(psi.k, tuple(values.tolist()))
+
+
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
-    """Degree-4 invariant attached to the subset: a sum over weakly ordered
-    index pairs of squared signed pair-products of coefficients.
+    """Degree-4 invariant attached to the subset, read off the I-vector.
 
     Defined for every subset; vanishes when the subset has odd size.
     """
     _require_subset(psi.k, subset)
-    k = psi.k
-    coeffs = psi.coeffs
-    strides = [math.prod(psi.dims[j + 1 :]) for j in range(k)]
-    abits = subset.bits
-    site_pairs = [
-        [(a, b) for a in range(n) for b in range(a, n)] for n in psi.dims
-    ]
-    masks = range(1 << k)
-    total = 0.0
-    for combo in itertools.product(*site_pairs):
-        c = sum(1 for a, b in combo if a == b)
-        inner = 0.0 + 0.0j
-        for bmask in masks:
-            idx0 = 0
-            idx1 = 0
-            for j in range(k):
-                a, b = combo[j]
-                if bmask >> j & 1:
-                    idx0 += b * strides[j]
-                    idx1 += a * strides[j]
-                else:
-                    idx0 += a * strides[j]
-                    idx1 += b * strides[j]
-            sign = -1.0 if (bmask & abits).bit_count() & 1 else 1.0
-            inner += sign * coeffs[idx0] * coeffs[idx1]
-        total += 2.0**-c * (inner.real**2 + inner.imag**2)
-    return 2.0**-k * total
+    return invariant_I_vector(psi)[subset]
 
 
 def invariant_J(rho: DensityMatrix, subset: SubsetMask) -> float:
@@ -103,38 +153,23 @@ def invariant_J(rho: DensityMatrix, subset: SubsetMask) -> float:
     return float(np.einsum("ij,ji->", reduced, reduced).real)
 
 
-def invariant_I_vector(psi: PureState) -> InvariantVector:
-    return InvariantVector(
-        psi.k, tuple(invariant_I(psi, s) for s in all_subsets(psi.k))
-    )
-
-
 def invariant_J_vector(rho: DensityMatrix) -> InvariantVector:
     return InvariantVector(
         rho.k, tuple(invariant_J(rho, s) for s in all_subsets(rho.k))
     )
 
 
-def _parity_sum(values, fixed_bits: int):
-    total = None
-    for bits, value in enumerate(values):
-        term = -value if (bits & fixed_bits).bit_count() & 1 else value
-        total = term if total is None else total + term
-    return total
-
-
 def j_from_i(ivec: InvariantVector) -> InvariantVector:
     """J_S = sum over A of (-1)^|A cap S| I_A."""
-    out = tuple(_parity_sum(ivec.values, s) for s in range(1 << ivec.k))
-    return InvariantVector(ivec.k, out)
+    out = _walsh_hadamard(np.array(ivec.values, dtype=object))
+    return InvariantVector(ivec.k, tuple(out.tolist()))
 
 
 def i_from_j(jvec: InvariantVector) -> InvariantVector:
     """I_A = 2^-k sum over B of (-1)^|A cap B| J_B; inverse of j_from_i."""
     k = jvec.k
     out = []
-    for a in range(1 << k):
-        total = _parity_sum(jvec.values, a)
+    for total in _walsh_hadamard(np.array(jvec.values, dtype=object)).tolist():
         if isinstance(total, (int, Fraction)):
             out.append(Fraction(total, 1 << k))
         else:
@@ -166,12 +201,11 @@ def meyer_wallach(psi: PureState) -> float:
     if abs(math.sqrt(psi.norm_squared()) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
     k = psi.k
+    ivec = invariant_I_vector(psi)
+    i_form = sum(4.0 * len(s) / k * ivec[s] for s in all_subsets(k))
     rho = projector(psi)
     purity_form = 2.0 - 2.0 / k * sum(
         invariant_J(rho, SubsetMask.of(k, [i])) for i in range(1, k + 1)
-    )
-    i_form = sum(
-        4.0 * len(s) / k * invariant_I(psi, s) for s in all_subsets(k)
     )
     if abs(purity_form - i_form) > 1e-9:
         raise ConsistencyError(

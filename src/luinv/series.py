@@ -8,8 +8,12 @@ The series is the cycle-index product
 whose t^m coefficient is the sum over cycle types of S_m of z^(k-2), z the
 centralizer order.  No floating point enters this module: the integrality
 of the extracted exponents is the claim under test, so every coefficient
-is an int.  Only k = 1, with its negative power of z, runs the product over
-exact rationals, and its coefficients are asserted integral.
+is an int.  k = 1, the one negative power of z, is the series 1/(1-t) and
+is returned directly.
+
+The product costs about order^2 multiplications of integers that grow
+linearly in k-2, so a series with order^2 * max(1, k-2) above
+SERIES_WORK_BOUND is refused before any multiplication.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityError
+from .errors import EnumerationBoundError, IntegralityError
+
+SERIES_WORK_BOUND = 250_000
 
 
 @dataclass(frozen=True)
@@ -75,21 +81,27 @@ def _multiply_in(coeffs: list, step: int, weights: list) -> None:
 
 def hilbert_series(k: int, order: int) -> PowerSeries:
     """Generating series of the stabilized invariant dimensions of k
-    subsystems, in the half-degree grading: the cycle-index product."""
+    subsystems, in the half-degree grading: the cycle-index product, or
+    1/(1-t) for k = 1.  Refused past SERIES_WORK_BOUND (module docstring)."""
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
+    work = order * order * max(1, k - 2)
+    if work > SERIES_WORK_BOUND:
+        raise EnumerationBoundError(
+            f"refusing the k={k} series to order {order}: order^2 * max(1, k-2) = "
+            f"{work} exceeds {SERIES_WORK_BOUND}"
+        )
+    if k == 1:
+        return PowerSeries(order, (1,) * (order + 1))
     e = k - 2
-    coeffs: list = [1] + [0] * order
+    coeffs = [1] + [0] * order
     for i in range(1, order + 1):
         # weights[a] = (i^a * a!)^e, built one factor (i*a)^e at a time.
         weights = [1]
         for a in range(1, order // i + 1):
-            step = (i * a) ** e if e >= 0 else Fraction(1, i * a)
-            weights.append(weights[-1] * step)
+            weights.append(weights[-1] * (i * a) ** e)
         _multiply_in(coeffs, i, weights)
-    if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
-        raise IntegralityError(f"stable dimension not integral: {coeffs}")
-    return PowerSeries(order, tuple(int(c) for c in coeffs))
+    return PowerSeries(order, tuple(coeffs))
 
 
 def euler_exponents(s: PowerSeries, k: int | None = None) -> GeneratorCounts:

@@ -4,6 +4,11 @@ Index convention, shared by every module and the state file format:
 coefficients are stored row-major over the subsystem multi-index with the
 last subsystem varying fastest, i.e. C-order flattening of an array of
 shape dims.
+
+The numerical rank oracle evaluates one permutation contraction per
+conjugation orbit of S_m on S_m^k.  The orbit representatives and the
+gather index of each are built once per (dims, m); a sample is then one
+gather from the system density matrix and one sum per column.
 """
 
 from __future__ import annotations
@@ -12,16 +17,22 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBoundError
+from .dimensions import stable_dimension
+from .errors import ConsistencyError, EnumerationBoundError
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
 PURIFY_CUTOFF = 1e-12
 RANK_TOL = 1e-8
+# Work bounds of the rank oracle: permutation tuples walked to find the
+# conjugation orbits, and rho entries gathered over all samples.
+ORBIT_TUPLE_BOUND = 50_000
+RANK_GATHER_BOUND = 20_000_000
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
@@ -260,95 +271,137 @@ def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> c
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+def _conjugate(p: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+    """s p s^-1, which sends s(x) to s(p(x))."""
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[s[x]] = s[y]
+    return tuple(out)
 
 
-def _all_contractions(psi_flat_sys_env: np.ndarray, sys_dims: tuple[int, ...], m: int):
-    """Values of every permutation contraction on a system+environment pure
-    state, exploiting that simultaneously left-translating all permutations
-    leaves the value unchanged.
+def _check_orbit_walk(k: int, m: int) -> None:
+    """Refuse when the m!^k tuples that the orbit walk visits exceed
+    ORBIT_TUPLE_BOUND; the count is multiplied up one factor at a time."""
+    count = 1
+    for _ in range(k):
+        for i in range(2, m + 1):
+            count *= i
+            if count > ORBIT_TUPLE_BOUND:
+                raise EnumerationBoundError(
+                    f"refusing to walk {m}!^{k} permutation tuples "
+                    f"(limit {ORBIT_TUPLE_BOUND})"
+                )
 
-    Returns the table over tuples of system permutations (environment
-    permutation translated to the identity), in lexicographic order of
-    itertools.product.
+
+@lru_cache(maxsize=16)
+def _orbit_representatives(k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One k-tuple of permutations of range(m) per orbit of S_m acting by
+    simultaneous conjugation, the first of its orbit in itertools.product
+    order.
+
+    Each new tuple's orbit is filled in by conjugating with a transposition
+    and an m-cycle, which generate S_m, so every tuple is reached once and
+    conjugated twice.  Callers bound the walk with _check_orbit_walk.  The
+    walk is kept apart from free_group_census, whose orbit count checks it.
     """
+    generators = [] if m < 2 else [(1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)]
+    seen = set()
+    reps = []
+    for tup in itertools.product(itertools.permutations(range(m)), repeat=k):
+        if tup in seen:
+            continue
+        reps.append(tup)
+        seen.add(tup)
+        stack = [tup]
+        while stack:
+            current = stack.pop()
+            for s in generators:
+                image = tuple(_conjugate(p, s) for p in current)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=16)
+def _orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
+    """Flat indices into rho_sys, shape (orbits, m, n_sys^m).
+
+    For representative taus and a system multi-index x = (x_0..x_(m-1)) over
+    m copies, entry [o, j, x] is the position of rho_sys[x_j, y_j], where
+    y_j takes its subsystem-l digit from copy taus[l][j] of x.  The product
+    over j is the entry of rho_sys^(tensor m) at (x, y), and its sum over x
+    is the contraction of taus with the environment wired straight through.
+    """
+    reps = np.array(_orbit_representatives(len(sys_dims), m), dtype=np.intp)
     n_sys = math.prod(sys_dims)
-    k_sys = len(sys_dims)
-    perms = list(itertools.permutations(range(m)))
-    rho_sys = psi_flat_sys_env @ psi_flat_sys_env.conj().T
-    power = np.ones((1, 1), dtype=complex)
-    for _ in range(m):
-        power = np.kron(power, rho_sys)
-    grid = np.indices((n_sys,) * m).reshape(m, -1)  # grid[j] = copy-j flat index
-    digits = np.empty((m, k_sys, n_sys**m), dtype=np.int64)
-    sys_strides = [math.prod(sys_dims[l + 1 :]) for l in range(k_sys)]
-    for j in range(m):
-        rem = grid[j]
-        for l in range(k_sys):
-            digits[j, l] = rem // sys_strides[l]
-            rem = rem % sys_strides[l]
-    copy_strides = [n_sys ** (m - 1 - j) for j in range(m)]
-    xs = np.arange(n_sys**m)
-    values = np.empty((len(perms),) * k_sys, dtype=complex).reshape(-1)
-    for idx, taus in enumerate(itertools.product(perms, repeat=k_sys)):
-        ys = np.zeros(n_sys**m, dtype=np.int64)
-        for j in range(m):
-            for l in range(k_sys):
-                ys += digits[taus[l][j], l] * (copy_strides[j] * sys_strides[l])
-        values[idx] = power[xs, ys].sum()
-    return perms, values
+    powers = n_sys ** np.arange(m - 1, -1, -1)
+    grid = np.arange(n_sys**m) // powers[:, None] % n_sys  # grid[j]: copy-j flat index
+    strides = [math.prod(sys_dims[l + 1 :]) for l in range(len(sys_dims))]
+    ys = np.zeros((len(reps), m, n_sys**m), dtype=np.intp)
+    for l, stride in enumerate(strides):
+        digit = grid // stride % sys_dims[l]  # digit[j] = subsystem-l digit of copy j
+        ys += digit[reps[:, l, :]] * stride
+    index = grid * n_sys + ys
+    index.flags.writeable = False
+    return index
+
+
+def _orbit_contractions(rho_sys: np.ndarray, sys_dims: tuple[int, ...], m: int) -> np.ndarray:
+    """Value of one contraction per conjugation orbit, from the system
+    density matrix of a system+environment pure state."""
+    index = _orbit_gather_index(sys_dims, m)
+    return rho_sys.reshape(-1)[index].prod(axis=1).sum(axis=1)
 
 
 def invariant_space_rank(
     dims: Sequence[int], m: int, sample_count: int | None = None, seed=0
 ) -> int:
-    """Numerical rank of the evaluation matrix of all permutation
+    """Numerical rank of the evaluation matrix of the permutation
     contractions over random pure states on dims plus an appended
     environment subsystem of dimension prod(dims).
 
-    Singular values above 1e-8 of the largest count toward the rank.
+    Relabelling the m copies of the state, or of its conjugate, leaves a
+    contraction's value unchanged.  So the environment permutation can be
+    made the identity, and the columns are one representative per orbit of
+    S_m acting on S_m^k by simultaneous conjugation; there are
+    stable_dimension(k+1, m) of them.
+    The default sample count is three per column and at least one per
+    column is required.  Walking S_m^k is refused past ORBIT_TUPLE_BOUND
+    tuples and the gathers past RANK_GATHER_BOUND entries, before any
+    sampling.  Singular values above 1e-8 of the largest count toward the
+    rank.
     """
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")
-    k_full = len(sys_dims) + 1
-    n_cols = math.factorial(m) ** k_full
+    k = len(sys_dims)
+    _check_orbit_walk(k, m)
+    expected = stable_dimension(k + 1, m)
+    n_orbits = len(_orbit_representatives(k, m))
+    if n_orbits != expected:
+        raise ConsistencyError(
+            f"{n_orbits} conjugation orbits, stable_dimension gives {expected}"
+        )
     if sample_count is None:
-        sample_count = 3 * n_cols
-    if sample_count < n_cols:
-        raise ValueError(f"need at least {n_cols} samples")
+        sample_count = 3 * n_orbits
+    if sample_count < n_orbits:
+        raise ValueError(f"need at least {n_orbits} samples")
+    n_sys = math.prod(sys_dims)
+    if n_orbits * n_sys**m * sample_count > RANK_GATHER_BOUND:
+        raise EnumerationBoundError(
+            f"refusing {sample_count} samples of {n_orbits} contractions over "
+            f"{n_sys}^{m} indices (limit {RANK_GATHER_BOUND} gathered entries)"
+        )
     if m == 0:
         return 1  # the single empty contraction is the constant 1
-    if n_cols * sample_count > 80_000_000:
-        raise EnumerationBoundError(
-            f"refusing a {sample_count} x {n_cols} evaluation matrix"
-        )
-    n_sys = math.prod(sys_dims)
-    perms = list(itertools.permutations(range(m)))
-    perm_index = {p: i for i, p in enumerate(perms)}
-    k_sys = len(sys_dims)
-    # Column -> translated-tuple index; the environment permutation is
-    # removed by left translation, which does not change the value.
-    colmap = np.empty(n_cols, dtype=np.int64)
-    for c, pis in enumerate(itertools.product(perms, repeat=k_full)):
-        env_inv = _invert(pis[-1])
-        flat = 0
-        for l in range(k_sys):
-            tau = tuple(env_inv[pis[l][j]] for j in range(m))
-            flat = flat * len(perms) + perm_index[tau]
-        colmap[c] = flat
     rng = np.random.default_rng(seed)
-    matrix = np.empty((sample_count, n_cols), dtype=complex)
+    matrix = np.empty((sample_count, n_orbits), dtype=complex)
     n_env = n_sys
     for s in range(sample_count):
         z = rng.standard_normal(n_sys * n_env) + 1j * rng.standard_normal(n_sys * n_env)
-        z /= np.linalg.norm(z)
-        _, values = _all_contractions(z.reshape(n_sys, n_env), sys_dims, m)
-        matrix[s] = values[colmap]
+        z = z.reshape(n_sys, n_env) / np.linalg.norm(z)
+        matrix[s] = _orbit_contractions(z @ z.conj().T, sys_dims, m)
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular.size == 0 or singular[0] <= 0.0:
         return 0

@@ -124,6 +124,8 @@ def test_criterion_06_restricted_dimension_oracle():
         for m in (0, 1, 2, 3):
             rank = invariant_space_rank(dims, m, seed=1000 + 10 * len(dims) + m)
             ok = ok and rank == restricted_dimension(dims, m)
+    rank = invariant_space_rank((2, 2), 4, seed=1024)
+    ok = ok and rank == restricted_dimension((2, 2), 4) == 16
     elapsed = time.time() - start
     _verdict(6, "numerical rank vs restricted dimension", ok and elapsed < 300.0, elapsed)
 

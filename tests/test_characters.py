@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from luinv import (
+    EnumerationBoundError,
     Partition,
     centralizer_order,
     conjugation_character,
@@ -154,3 +155,18 @@ def test_kronecker_permutation_invariance():
 def test_kronecker_degree_mismatch():
     with pytest.raises(ValueError):
         kronecker_multiplicity(Partition((2,)), [Partition((3,))])
+
+
+def test_character_degree_bound():
+    from luinv.characters import CHARACTER_DEGREE_BOUND
+
+    assert CHARACTER_DEGREE_BOUND == 16
+    assert trivial_character(16).values[-1] == 1
+    for call in (
+        lambda: irreducible_character(Partition((17,))),
+        lambda: trivial_character(40),
+        lambda: sign_character(17),
+        lambda: conjugation_character(40),
+    ):
+        with pytest.raises(EnumerationBoundError, match="S_"):
+            call()

@@ -166,6 +166,31 @@ def test_rank_oracle(capsys):
     assert (code, out) == (0, "4\n")
 
 
+def test_rank_oracle_sample_minimum_is_the_orbit_count(capsys):
+    base = ("rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "7")
+    assert run(capsys, *base, "--samples", "4")[:2] == (0, "4\n")
+    code, out, err = run(capsys, *base, "--samples", "3")
+    assert (code, out) == (2, "")
+    assert "need at least 4 samples" in err
+
+
+def test_unbounded_requests_exit_3(tmp_path, capsys):
+    path = tmp_path / "q12.state"
+    write_state_file(path, ghz_state(12))
+    for argv in [
+        ("dims", "--k", "3", "--m", "2000"),
+        ("hilbert", "--k", "3", "--order", "2000"),
+        ("char-table", "--m", "40"),
+        ("dims", "--local-dims", "2,2", "--m", "40"),
+        ("rank-oracle", "--local-dims", "2,2,2", "--m", "5", "--seed", "1"),
+        ("eval", "--invariant", "I", "--state", str(path), "--subset", "1,2"),
+        ("eval", "--invariant", "Q", "--state", str(path)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("luinv: refusing"), argv
+
+
 def test_internal_assertion_exits_4(capsys, monkeypatch):
     from luinv import IntegralityError
     import luinv.cli as cli_module

@@ -1,12 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import (
     EnumerationBoundError,
     InvariantVector,
+    PureState,
     SubsetMask,
     all_subsets,
     apply_local_unitaries,
@@ -33,6 +37,39 @@ from luinv import (
 
 BELL_I = (0.75, 0.0, 0.0, 0.25)
 BELL_J = (1.0, 0.5, 0.5, 1.0)
+
+
+def _invariant_I_by_definition(psi, subset):
+    """I_A from its definition: for each index-pair combination, the signed
+    sum over the 2^k masks, one subset at a time."""
+    k = psi.k
+    coeffs = psi.coeffs
+    strides = [math.prod(psi.dims[j + 1 :]) for j in range(k)]
+    abits = subset.bits
+    site_pairs = [[(a, b) for a in range(n) for b in range(a, n)] for n in psi.dims]
+    total = 0.0
+    for combo in itertools.product(*site_pairs):
+        c = sum(1 for a, b in combo if a == b)
+        inner = 0.0 + 0.0j
+        for bmask in range(1 << k):
+            idx0 = 0
+            idx1 = 0
+            for j in range(k):
+                a, b = combo[j]
+                if bmask >> j & 1:
+                    idx0 += b * strides[j]
+                    idx1 += a * strides[j]
+                else:
+                    idx0 += a * strides[j]
+                    idx1 += b * strides[j]
+            sign = -1.0 if (bmask & abits).bit_count() & 1 else 1.0
+            inner += sign * coeffs[idx0] * coeffs[idx1]
+        total += 2.0**-c * (inner.real**2 + inner.imag**2)
+    return 2.0**-k * total
+
+
+small_dims = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def _random_product_state(dims, seed):
@@ -79,6 +116,33 @@ def test_invariant_I_degree_four_homogeneity():
         assert invariant_I(scaled, subset) == pytest.approx(
             1.3**4 * invariant_I(psi, subset), abs=1e-10
         )
+
+
+@settings(deadline=None, max_examples=40)
+@given(dims=small_dims, seed=seeds)
+def test_I_vector_matches_definition(dims, seed):
+    psi = random_pure_state(dims, seed)
+    vector = invariant_I_vector(psi)
+    for subset in all_subsets(len(dims)):
+        assert abs(vector[subset] - _invariant_I_by_definition(psi, subset)) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(dims=small_dims, seed=seeds)
+def test_I_vector_lu_invariant(dims, seed):
+    psi = random_pure_state(dims, seed)
+    us = [random_unitary(n, seed=[seed, j]) for j, n in enumerate(dims)]
+    before = np.array(invariant_I_vector(psi).values)
+    after = np.array(invariant_I_vector(apply_local_unitaries(psi, us)).values)
+    assert np.abs(before - after).max() < 1e-12
+
+
+def test_I_vector_refuses_large_states():
+    psi = PureState((2,) * 12, np.ones(1 << 12))
+    with pytest.raises(EnumerationBoundError):
+        invariant_I_vector(psi)
+    with pytest.raises(EnumerationBoundError):
+        meyer_wallach(psi.normalized())
 
 
 def test_invariant_J_examples():

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from luinv import (
+    EnumerationBoundError,
     GeneratorCounts,
     IntegralityError,
     PowerSeries,
@@ -138,3 +139,29 @@ def test_free_generator_count_matches_census_degree_five():
 def test_partition_count_sanity():
     # p(10) = 42 pins both the series and the enumeration.
     assert hilbert_series(2, 10)[10] == 42 == len(partitions_of(10))
+
+
+def _k1_fraction_product(order):
+    """The k = 1 cycle-index product, prod over i of sum over a of
+    t^(i a) / (i^a a!), multiplied out in Fractions."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for i in range(1, order + 1):
+        weights = [Fraction(1, i**a * factorial(a)) for a in range(order // i + 1)]
+        coeffs = [
+            sum(weights[a] * coeffs[n - i * a] for a in range(n // i + 1))
+            for n in range(order + 1)
+        ]
+    return coeffs
+
+
+def test_k1_series_is_the_fraction_product():
+    for order in range(13):
+        assert list(hilbert_series(1, order).coeffs) == _k1_fraction_product(order)
+
+
+def test_series_work_bound():
+    assert hilbert_series(12, 158)[1] == 1
+    assert hilbert_series(1, 500)[500] == 1
+    for k, order in [(3, 501), (3, 2000), (12, 159), (1, 501), (1, 10**9)]:
+        with pytest.raises(EnumerationBoundError, match="refusing"):
+            hilbert_series(k, order)

@@ -6,10 +6,12 @@ import pytest
 
 from luinv import (
     DensityMatrix,
+    EnumerationBoundError,
     PureState,
     SubsetMask,
     apply_local_unitaries,
     bell_state,
+    conjugation_orbit_count,
     ghz_state,
     invariant_space_rank,
     partial_trace,
@@ -22,6 +24,7 @@ from luinv import (
     random_unitary,
     read_state_file,
     restricted_dimension,
+    stable_dimension,
     write_state_file,
 )
 
@@ -224,8 +227,10 @@ def test_rank_oracle_two_qubits():
 
 
 def test_rank_oracle_rejects_undersampling():
+    # (2, 2) at m = 2 has 4 conjugation-orbit columns.
+    assert invariant_space_rank((2, 2), 2, sample_count=4, seed=17) == 4
     with pytest.raises(ValueError):
-        invariant_space_rank((2, 2), 2, sample_count=7, seed=17)
+        invariant_space_rank((2, 2), 2, sample_count=3, seed=17)
 
 
 def test_rank_oracle_matches_restricted_dimension_small():
@@ -233,30 +238,46 @@ def test_rank_oracle_matches_restricted_dimension_small():
     assert invariant_space_rank((3,), 2, seed=18) == restricted_dimension((3,), 2)
 
 
+def test_rank_oracle_refuses_before_sampling(monkeypatch):
+    import luinv.states as states_module
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(states_module.np.random, "default_rng", no_sampling)
+    with pytest.raises(EnumerationBoundError, match="5!\\^3 permutation tuples"):
+        invariant_space_rank((2, 2, 2), 5, seed=1)
+    with pytest.raises(EnumerationBoundError, match="gathered entries"):
+        invariant_space_rank((2, 2, 2), 4, seed=1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_orbit_representatives_count_conjugation_orbits(k):
+    from luinv.states import _orbit_representatives
+
+    for m in range(5):
+        reps = _orbit_representatives(k, m)
+        assert len(set(reps)) == len(reps)
+        assert len(reps) == conjugation_orbit_count(k, m) == stable_dimension(k + 1, m)
+
+
 def test_fast_contraction_table_matches_direct():
-    """The batched rank-oracle route must reproduce the definition."""
-    from luinv.states import _all_contractions, _invert
+    """Every orbit column of the rank oracle equals the definition, with the
+    environment permutation the identity."""
+    from luinv.states import _orbit_contractions, _orbit_representatives
 
     rng = np.random.default_rng(19)
-    for dims, m in [((2,), 2), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2)]:
-        full = dims + (math.prod(dims),)
-        psi = random_pure_state(full, rng)
-        perms = list(itertools.permutations(range(m)))
-        perm_index = {p: i for i, p in enumerate(perms)}
-        _, table = _all_contractions(
-            psi.coeffs.reshape(math.prod(dims), -1), dims, m
-        )
-        columns = list(itertools.product(perms, repeat=len(full)))
-        picks = rng.choice(len(columns), size=min(10, len(columns)), replace=False)
-        for ci in picks:
-            pis = columns[ci]
-            env_inv = _invert(pis[-1])
-            flat = 0
-            for l in range(len(dims)):
-                tau = tuple(env_inv[pis[l][j]] for j in range(m))
-                flat = flat * len(perms) + perm_index[tau]
-            direct = permutation_contraction(psi, pis)
-            assert abs(direct - table[flat]) < 1e-10
+    for dims, m in [((2,), 2), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((3,), 3), ((2, 2), 4)]:
+        n_sys = math.prod(dims)
+        psi = random_pure_state(dims + (n_sys,), rng)
+        z = psi.coeffs.reshape(n_sys, n_sys)
+        table = _orbit_contractions(z @ z.conj().T, dims, m)
+        reps = _orbit_representatives(len(dims), m)
+        assert table.shape == (len(reps),)
+        identity = tuple(range(m))
+        for taus, value in zip(reps, table):
+            direct = permutation_contraction(psi, taus + (identity,))
+            assert abs(direct - value) < 1e-10
 
 
 def test_state_file_roundtrip(tmp_path):
