@@ -34,12 +34,7 @@ from .dimensions import (
     stable_dimension_via_characters,
 )
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
-from .free_group_census import (
-    PermTuple,
-    conjugation_orbit_count,
-    count_subgroup_classes,
-    is_transitive,
-)
+from .free_group_census import conjugation_orbit_count, count_subgroup_classes
 from .invariants import (
     InvariantVector,
     basis_vector_m2,

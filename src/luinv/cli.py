@@ -232,6 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Dimensions may run to thousands of digits; the work bounds, not
+    # Python's int-to-str limit, cap what is printed.
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

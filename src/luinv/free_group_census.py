@@ -1,15 +1,16 @@
-"""Brute-force orbit counting oracles.
+"""Brute-force orbit enumeration, the census oracle.
 
-Everything here works by explicit enumeration of permutation tuples and
-union-find over simultaneous-conjugation moves, deliberately avoiding the
-centralizer-order formula and Burnside counting so that the results are
-independent of the identities they are used to verify.
+One walk over permutation tuples finds a representative of every orbit of
+S_degree acting on them by simultaneous conjugation.  The orbit counts
+here and the columns of the numerical rank oracle both come from it.  It
+deliberately avoids the centralizer-order formula and Burnside counting, so
+that its results are independent of the identities they are used to verify.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EnumerationBoundError
 
@@ -19,25 +20,6 @@ from .errors import EnumerationBoundError
 MAX_TUPLES = 500_000
 
 Perm = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PermTuple:
-    """A tuple of permutations of {0, ..., degree-1} in one-line notation,
-    encoding a homomorphism from a free group into S_degree."""
-
-    degree: int
-    perms: tuple[Perm, ...]
-
-    def __post_init__(self) -> None:
-        for p in self.perms:
-            if sorted(p) != list(range(self.degree)):
-                raise ValueError(f"not a permutation of degree {self.degree}: {p}")
-
-
-def is_transitive(t: PermTuple) -> bool:
-    """Whether the group generated by the entries acts transitively."""
-    return _is_transitive(t.perms, t.degree)
 
 
 def _is_transitive(perms: tuple[Perm, ...], degree: int) -> bool:
@@ -58,84 +40,90 @@ def _is_transitive(perms: tuple[Perm, ...], degree: int) -> bool:
     return count == degree
 
 
-def _conjugate_by_transposition(p: Perm, i: int, j: int) -> Perm:
-    """tau p tau for the transposition tau = (i j)."""
-    out = list(p)
-    out[i], out[j] = out[j], out[i]
-    for x in range(len(out)):
-        if out[x] == i:
-            out[x] = j
-        elif out[x] == j:
-            out[x] = i
+def _conjugate(p: Perm, s: Perm) -> Perm:
+    """s p s^-1, which sends s(x) to s(p(x))."""
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[s[x]] = s[y]
     return tuple(out)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def root_count(self) -> int:
-        return sum(1 for x, p in self.parent.items() if x == p)
-
-
-def _check_bound(degree: int, length: int) -> None:
-    """Refuse when the degree!^length raw tuples exceed MAX_TUPLES.
+def check_tuple_bound(degree: int, length: int, limit: int) -> None:
+    """Refuse when the degree!^length raw tuples exceed limit.
 
     The count is multiplied up one factor at a time and given up once it
-    passes MAX_TUPLES**2, so the check's own cost does not grow with the
-    input; below that the refusal states the exact count.
+    passes limit**2, so the check's own cost does not grow with the input;
+    below that the refusal states the exact count.
     """
-    estimate = 1
+    count = 1
     for _ in range(length if degree > 1 else 0):
         for i in range(2, degree + 1):
-            estimate *= i
-            if estimate > MAX_TUPLES**2:
-                _refuse(f"more than {MAX_TUPLES**2}", degree, length)
-    if estimate > MAX_TUPLES:
-        _refuse(estimate, degree, length)
+            count *= i
+            if count > limit**2:
+                _refuse(f"more than {limit**2}", degree, length, limit)
+    if count > limit:
+        _refuse(count, degree, length, limit)
 
 
-def _refuse(estimate, degree: int, length: int) -> None:
+def _refuse(count, degree: int, length: int, limit: int) -> None:
     raise EnumerationBoundError(
-        f"refusing to enumerate {estimate} permutation tuples "
-        f"(degree {degree}, tuple length {length}, limit {MAX_TUPLES})"
+        f"refusing to enumerate {count} permutation tuples "
+        f"(degree {degree}, tuple length {length}, limit {limit})"
     )
 
 
-def _orbit_count(degree: int, length: int, transitive_only: bool) -> int:
-    _check_bound(degree, length)
-    all_perms = list(itertools.permutations(range(degree)))
-    uf = _UnionFind()
-    members = []
-    for tup in itertools.product(all_perms, repeat=length):
-        if transitive_only and not _is_transitive(tup, degree):
+@lru_cache(maxsize=16)
+def orbit_representatives(
+    length: int, degree: int, transitive_only: bool = False
+) -> tuple[tuple[Perm, ...], ...]:
+    """One tuple of `length` permutations of range(degree) per orbit of
+    S_degree acting by simultaneous conjugation: the lexicographic minimum
+    of its orbit, in increasing order.  With transitive_only, only the
+    orbits of transitive tuples (conjugation preserves transitivity).
+
+    The walk visits the tuples in itertools.product order.  Each tuple not
+    seen yet is a representative, and its orbit is filled in by conjugating
+    with the transposition (0 1) and the degree-cycle, which generate
+    S_degree.  Tuples are held as indices into the list of permutations,
+    each generator acts on them through a table, and the tuples reached are
+    marked in a bytearray of degree!^length flags.  Walks past MAX_TUPLES
+    tuples are refused; callers may check a tighter bound first.
+    """
+    check_tuple_bound(degree, length, MAX_TUPLES)
+    perms = list(itertools.permutations(range(degree)))
+    position = {p: i for i, p in enumerate(perms)}
+    generators = [] if degree < 2 else [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
+    moves = [[position[_conjugate(p, s)] for p in perms] for s in generators]
+    n = len(perms)
+    # seen[c]: the tuple whose entries are the base-n digits of c has been
+    # reached; product order is increasing c.
+    seen = bytearray(n**length)
+
+    def code(tup: tuple[int, ...]) -> int:
+        c = 0
+        for i in tup:
+            c = c * n + i
+        return c
+
+    reps = []
+    for c, tup in enumerate(itertools.product(range(n), repeat=length)):
+        if seen[c]:
             continue
-        uf.add(tup)
-        members.append(tup)
-    # Adjacent transpositions generate S_degree, so these moves connect
-    # exactly the simultaneous-conjugation orbits.
-    for tup in members:
-        for i in range(degree - 1):
-            conj = tuple(_conjugate_by_transposition(p, i, i + 1) for p in tup)
-            uf.union(tup, conj)
-    return uf.root_count()
+        rep = tuple(perms[i] for i in tup)
+        if transitive_only and not _is_transitive(rep, degree):
+            continue
+        reps.append(rep)
+        seen[c] = 1
+        stack = [tup]
+        while stack:
+            current = stack.pop()
+            for move in moves:
+                image = tuple(map(move.__getitem__, current))
+                image_code = code(image)
+                if not seen[image_code]:
+                    seen[image_code] = 1
+                    stack.append(image)
+    return tuple(reps)
 
 
 def count_subgroup_classes(rank: int, index: int) -> int:
@@ -144,7 +132,7 @@ def count_subgroup_classes(rank: int, index: int) -> int:
     points up to simultaneous conjugation."""
     if rank < 1 or index < 1:
         raise ValueError("need rank >= 1 and index >= 1")
-    return _orbit_count(index, rank, transitive_only=True)
+    return len(orbit_representatives(rank, index, transitive_only=True))
 
 
 def conjugation_orbit_count(tuple_length: int, m: int) -> int:
@@ -152,4 +140,4 @@ def conjugation_orbit_count(tuple_length: int, m: int) -> int:
     tuples of `tuple_length` permutations."""
     if tuple_length < 0 or m < 0:
         raise ValueError("need tuple_length >= 0 and m >= 0")
-    return _orbit_count(m, tuple_length, transitive_only=False)
+    return len(orbit_representatives(tuple_length, m))

@@ -6,14 +6,14 @@ last subsystem varying fastest, i.e. C-order flattening of an array of
 shape dims.
 
 The numerical rank oracle evaluates one permutation contraction per
-conjugation orbit of S_m on S_m^k.  The orbit representatives and the
-gather index of each are built once per (dims, m); a sample is then one
-gather from the system density matrix and one sum per column.
+conjugation orbit of S_m on S_m^k.  The orbit representatives come from
+the census walk of free_group_census; the gather index of each is built
+once per (dims, m), and a sample is then one gather from the system
+density matrix and one sum per column.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ import numpy as np
 
 from .dimensions import stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError
+from .free_group_census import check_tuple_bound, orbit_representatives
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
@@ -33,6 +34,8 @@ RANK_TOL = 1e-8
 # conjugation orbits, and rho entries gathered over all samples.
 ORBIT_TUPLE_BOUND = 50_000
 RANK_GATHER_BOUND = 20_000_000
+# Largest projector psi psi* built, in matrix entries; eleven qubits fit.
+PROJECTOR_ENTRY_BOUND = 1 << 22
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
@@ -108,7 +111,14 @@ class DensityMatrix:
 
 
 def projector(psi: PureState) -> DensityMatrix:
-    """The rank-one operator psi psi*."""
+    """The rank-one operator psi psi*, refused past PROJECTOR_ENTRY_BOUND
+    entries before it is built."""
+    side = psi.coeffs.size
+    if side * side > PROJECTOR_ENTRY_BOUND:
+        raise EnumerationBoundError(
+            f"refusing to build a {side}x{side} projector "
+            f"(limit {PROJECTOR_ENTRY_BOUND} entries)"
+        )
     return DensityMatrix(psi.dims, np.outer(psi.coeffs, psi.coeffs.conj()))
 
 
@@ -271,58 +281,6 @@ def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> c
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
-def _conjugate(p: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    """s p s^-1, which sends s(x) to s(p(x))."""
-    out = [0] * len(p)
-    for x, y in enumerate(p):
-        out[s[x]] = s[y]
-    return tuple(out)
-
-
-def _check_orbit_walk(k: int, m: int) -> None:
-    """Refuse when the m!^k tuples that the orbit walk visits exceed
-    ORBIT_TUPLE_BOUND; the count is multiplied up one factor at a time."""
-    count = 1
-    for _ in range(k):
-        for i in range(2, m + 1):
-            count *= i
-            if count > ORBIT_TUPLE_BOUND:
-                raise EnumerationBoundError(
-                    f"refusing to walk {m}!^{k} permutation tuples "
-                    f"(limit {ORBIT_TUPLE_BOUND})"
-                )
-
-
-@lru_cache(maxsize=16)
-def _orbit_representatives(k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """One k-tuple of permutations of range(m) per orbit of S_m acting by
-    simultaneous conjugation, the first of its orbit in itertools.product
-    order.
-
-    Each new tuple's orbit is filled in by conjugating with a transposition
-    and an m-cycle, which generate S_m, so every tuple is reached once and
-    conjugated twice.  Callers bound the walk with _check_orbit_walk.  The
-    walk is kept apart from free_group_census, whose orbit count checks it.
-    """
-    generators = [] if m < 2 else [(1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)]
-    seen = set()
-    reps = []
-    for tup in itertools.product(itertools.permutations(range(m)), repeat=k):
-        if tup in seen:
-            continue
-        reps.append(tup)
-        seen.add(tup)
-        stack = [tup]
-        while stack:
-            current = stack.pop()
-            for s in generators:
-                image = tuple(_conjugate(p, s) for p in current)
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-    return tuple(reps)
-
-
 @lru_cache(maxsize=16)
 def _orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
     """Flat indices into rho_sys, shape (orbits, m, n_sys^m).
@@ -333,7 +291,7 @@ def _orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
     over j is the entry of rho_sys^(tensor m) at (x, y), and its sum over x
     is the contraction of taus with the environment wired straight through.
     """
-    reps = np.array(_orbit_representatives(len(sys_dims), m), dtype=np.intp)
+    reps = np.array(orbit_representatives(len(sys_dims), m), dtype=np.intp)
     n_sys = math.prod(sys_dims)
     powers = n_sys ** np.arange(m - 1, -1, -1)
     grid = np.arange(n_sys**m) // powers[:, None] % n_sys  # grid[j]: copy-j flat index
@@ -364,8 +322,9 @@ def invariant_space_rank(
     Relabelling the m copies of the state, or of its conjugate, leaves a
     contraction's value unchanged.  So the environment permutation can be
     made the identity, and the columns are one representative per orbit of
-    S_m acting on S_m^k by simultaneous conjugation; there are
-    stable_dimension(k+1, m) of them.
+    S_m acting on S_m^k by simultaneous conjugation, in the order of the
+    census walk (free_group_census.orbit_representatives); there are
+    stable_dimension(k+1, m) of them, which is checked.
     The default sample count is three per column and at least one per
     column is required.  Walking S_m^k is refused past ORBIT_TUPLE_BOUND
     tuples and the gathers past RANK_GATHER_BOUND entries, before any
@@ -376,9 +335,9 @@ def invariant_space_rank(
     if m < 0:
         raise ValueError("need m >= 0")
     k = len(sys_dims)
-    _check_orbit_walk(k, m)
+    check_tuple_bound(m, k, ORBIT_TUPLE_BOUND)
     expected = stable_dimension(k + 1, m)
-    n_orbits = len(_orbit_representatives(k, m))
+    n_orbits = len(orbit_representatives(k, m))
     if n_orbits != expected:
         raise ConsistencyError(
             f"{n_orbits} conjugation orbits, stable_dimension gives {expected}"

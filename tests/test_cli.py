@@ -40,6 +40,17 @@ def test_unknown_flag_exits_2(capsys):
     assert info.value.code == 2
 
 
+def test_long_integers_are_printed(capsys):
+    # 4300+ digits, past Python's default int-to-str limit, inside the series bound.
+    from luinv import hilbert_series, stable_dimension
+
+    code, out, _ = run(capsys, "dims", "--k", "50", "--m", "70")
+    assert (code, out) == (0, f"{stable_dimension(50, 70)}\n")
+    code, out, _ = run(capsys, "hilbert", "--k", "50", "--order", "70")
+    assert code == 0
+    assert f"70\t{hilbert_series(50, 70)[70]}\n" in out
+
+
 def test_hilbert_table(capsys):
     code, out, _ = run(capsys, "hilbert", "--k", "2", "--order", "5")
     assert code == 0
@@ -185,6 +196,8 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
         ("rank-oracle", "--local-dims", "2,2,2", "--m", "5", "--seed", "1"),
         ("eval", "--invariant", "I", "--state", str(path), "--subset", "1,2"),
         ("eval", "--invariant", "Q", "--state", str(path)),
+        ("eval", "--invariant", "J", "--state", str(path), "--subset", "1"),
+        ("eval", "--invariant", "eta", "--state", str(path), "--subset", "1"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv

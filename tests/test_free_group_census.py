@@ -6,27 +6,21 @@ import pytest
 
 from luinv import (
     EnumerationBoundError,
-    PermTuple,
     conjugation_orbit_count,
     count_subgroup_classes,
-    is_transitive,
     partitions_of,
     stable_dimension,
 )
+from luinv.free_group_census import _is_transitive, orbit_representatives
 
 
 def test_is_transitive_examples():
-    assert is_transitive(PermTuple(1, ((0,),)))
-    assert not is_transitive(PermTuple(2, ((0, 1),)))
-    assert is_transitive(PermTuple(2, ((1, 0),)))
-    assert is_transitive(PermTuple(3, ((1, 2, 0),)))
-    assert not is_transitive(PermTuple(3, ((1, 0, 2), (0, 1, 2))))
-    assert is_transitive(PermTuple(3, ((1, 0, 2), (0, 2, 1))))
-
-
-def test_perm_tuple_validation():
-    with pytest.raises(ValueError):
-        PermTuple(2, ((0, 0),))
+    assert _is_transitive(((0,),), 1)
+    assert not _is_transitive(((0, 1),), 2)
+    assert _is_transitive(((1, 0),), 2)
+    assert _is_transitive(((1, 2, 0),), 3)
+    assert not _is_transitive(((1, 0, 2), (0, 1, 2)), 3)
+    assert _is_transitive(((1, 0, 2), (0, 2, 1)), 3)
 
 
 def test_subgroup_classes_index_one():
@@ -78,6 +72,40 @@ def test_enumeration_bound_check_is_cheap_for_huge_degree():
     with pytest.raises(EnumerationBoundError, match=r"more than \d+ permutation"):
         conjugation_orbit_count(2, 10**6)
     assert time.perf_counter() - start < 1.0
+
+
+def _conjugate_all(tup, degree):
+    """Every simultaneous conjugate s p s^-1 of tup, over all s in S_degree."""
+    out = []
+    for s in itertools.permutations(range(degree)):
+        images = []
+        for p in tup:
+            image = [0] * degree
+            for x, y in enumerate(p):
+                image[s[x]] = s[y]
+            images.append(tuple(image))
+        out.append(tuple(images))
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_orbit_representatives_count_conjugation_orbits(k):
+    for m in range(5):
+        reps = orbit_representatives(k, m)
+        assert list(reps) == sorted(set(reps))
+        assert len(reps) == conjugation_orbit_count(k, m) == stable_dimension(k + 1, m)
+        for rep in reps:
+            assert rep == min(_conjugate_all(rep, m))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_transitive_representatives(rank):
+    for index in range(1, 5):
+        reps = orbit_representatives(rank, index, transitive_only=True)
+        assert all(_is_transitive(rep, index) for rep in reps)
+        assert len(reps) == count_subgroup_classes(rank, index)
+        everything = orbit_representatives(rank, index)
+        assert reps == tuple(rep for rep in everything if _is_transitive(rep, index))
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:

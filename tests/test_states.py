@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import (
     DensityMatrix,
@@ -11,7 +15,6 @@ from luinv import (
     SubsetMask,
     apply_local_unitaries,
     bell_state,
-    conjugation_orbit_count,
     ghz_state,
     invariant_space_rank,
     partial_trace,
@@ -245,26 +248,17 @@ def test_rank_oracle_refuses_before_sampling(monkeypatch):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr(states_module.np.random, "default_rng", no_sampling)
-    with pytest.raises(EnumerationBoundError, match="5!\\^3 permutation tuples"):
+    with pytest.raises(EnumerationBoundError, match="1728000 permutation tuples"):
         invariant_space_rank((2, 2, 2), 5, seed=1)
     with pytest.raises(EnumerationBoundError, match="gathered entries"):
         invariant_space_rank((2, 2, 2), 4, seed=1)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_orbit_representatives_count_conjugation_orbits(k):
-    from luinv.states import _orbit_representatives
-
-    for m in range(5):
-        reps = _orbit_representatives(k, m)
-        assert len(set(reps)) == len(reps)
-        assert len(reps) == conjugation_orbit_count(k, m) == stable_dimension(k + 1, m)
-
-
 def test_fast_contraction_table_matches_direct():
     """Every orbit column of the rank oracle equals the definition, with the
     environment permutation the identity."""
-    from luinv.states import _orbit_contractions, _orbit_representatives
+    from luinv.free_group_census import orbit_representatives
+    from luinv.states import _orbit_contractions
 
     rng = np.random.default_rng(19)
     for dims, m in [((2,), 2), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((3,), 3), ((2, 2), 4)]:
@@ -272,7 +266,7 @@ def test_fast_contraction_table_matches_direct():
         psi = random_pure_state(dims + (n_sys,), rng)
         z = psi.coeffs.reshape(n_sys, n_sys)
         table = _orbit_contractions(z @ z.conj().T, dims, m)
-        reps = _orbit_representatives(len(dims), m)
+        reps = orbit_representatives(len(dims), m)
         assert table.shape == (len(reps),)
         identity = tuple(range(m))
         for taus, value in zip(reps, table):
@@ -295,6 +289,29 @@ def test_state_file_roundtrip(tmp_path):
     loaded2 = read_state_file(path2)
     assert isinstance(loaded2, DensityMatrix)
     assert np.array_equal(loaded2.entries, rho.entries)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mixed=st.booleans(),
+)
+def test_state_file_roundtrip_is_exact(dims, seed, mixed):
+    if mixed:
+        state = random_density_matrix(dims, seed)
+    else:
+        state = random_pure_state(dims, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state")
+        write_state_file(path, state)
+        loaded = read_state_file(path)
+    assert type(loaded) is type(state)
+    assert loaded.dims == state.dims
+    if mixed:
+        assert loaded.entries.tobytes() == state.entries.tobytes()
+    else:
+        assert loaded.coeffs.tobytes() == state.coeffs.tobytes()
 
 
 def test_state_file_comments_and_errors(tmp_path):
