@@ -7,12 +7,8 @@ on pure and mixed states.
 """
 
 from .combinatorics import (
-    CycleType,
     Partition,
     centralizer_order,
-    cycle_type_to_partition,
-    cycle_types_of,
-    partition_to_cycle_type,
     partitions_of,
 )
 from .characters import (
@@ -21,10 +17,6 @@ from .characters import (
     inner_product,
     irreducible_character,
     kronecker_multiplicity,
-    pointwise_power,
-    pointwise_product,
-    pointwise_sum,
-    sign_character,
     trivial_character,
 )
 from .dimensions import (

@@ -1,9 +1,15 @@
-"""Exact irreducible characters of S_m and class-function arithmetic.
+"""Exact irreducible characters of S_m and the sums of their squares.
 
 Characters are evaluated by recursive border-strip removal, memoized on
 (partition, remaining cycle lengths), with exact integer arithmetic.
-Values are indexed by cycle types in the canonical class order of the
+A class of S_m is labelled by the partition of its cycle lengths, and
+values are indexed by partitions in the canonical class order of the
 combinatorics module.
+
+The dimension formulas need one class function of the characters: the sum
+of chi_lam^2 over the lam with at most a given number of rows.  With no
+row limit it is the conjugation character, whose value at a class is the
+centralizer order.
 
 A full table of S_m has p(m)^2 entries, and its cost roughly triples with
 every two steps of m (m = 16: 231 classes, under a second); degrees
@@ -16,12 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import (
-    Partition,
-    centralizer_order,
-    cycle_types_of,
-    partitions_of,
-)
+from .combinatorics import Partition, centralizer_order, partitions_of
 from .errors import EnumerationBoundError
 
 Rational = int | Fraction
@@ -38,11 +39,11 @@ def _check_degree(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _class_cycles(m: int) -> tuple[tuple[int, ...], ...]:
-    """Cycle lengths, in decreasing order, of each class of S_m in the
-    canonical class order; its length is the class count."""
+def _classes(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle lengths in decreasing order, centralizer order) of each class
+    of S_m in the canonical class order; its length is the class count."""
     _check_degree(m)
-    return tuple(a.cycle_lengths() for a in cycle_types_of(m))
+    return tuple((lam.parts, centralizer_order(lam)) for lam in partitions_of(m))
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,10 @@ class ClassFunction:
     values: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(_class_cycles(self.m)):
+        if len(self.values) != len(_classes(self.m)):
             raise ValueError(
                 f"need one value per class of S_{self.m}, got {len(self.values)}"
             )
-
-
-def _require_same_degree(f: ClassFunction, g: ClassFunction) -> None:
-    if f.m != g.m:
-        raise ValueError(f"degree mismatch: S_{f.m} vs S_{g.m}")
 
 
 @lru_cache(maxsize=None)
@@ -94,63 +90,47 @@ def _border_strip_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 def irreducible_character(lam: Partition) -> ClassFunction:
     """The character of the S_m irreducible indexed by lam, on every class."""
     m = lam.m
-    values = tuple(_border_strip_value(lam.parts, c) for c in _class_cycles(m))
+    values = tuple(_border_strip_value(lam.parts, c) for c, _ in _classes(m))
     return ClassFunction(m, values)
 
 
 def trivial_character(m: int) -> ClassFunction:
     """chi_(m): constant 1."""
-    return ClassFunction(m, (1,) * len(_class_cycles(m)))
-
-
-def sign_character(m: int) -> ClassFunction:
-    """chi_(1,...,1): (-1)^(m - number of cycles) on each class."""
-    values = tuple((-1) ** (m - len(c)) for c in _class_cycles(m))
-    return ClassFunction(m, values)
+    return ClassFunction(m, (1,) * len(_classes(m)))
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """(f, g) = (1/m!) sum over classes of |class| * f * g.
 
-    Class sizes enter as m!/z(a), so the sum reduces to f(a)g(a)/z(a).
+    Class sizes enter as m!/z(lam), so the sum reduces to f(lam)g(lam)/z(lam).
     All characters handled here are real-valued, so no conjugation is
     applied to the first argument.
     """
-    _require_same_degree(f, g)
+    if f.m != g.m:
+        raise ValueError(f"degree mismatch: S_{f.m} vs S_{g.m}")
     total = Fraction(0)
-    for i, a in enumerate(cycle_types_of(f.m)):
-        total += Fraction(f.values[i] * g.values[i], centralizer_order(a))
+    for x, y, (_, z) in zip(f.values, g.values, _classes(f.m)):
+        total += Fraction(x * y, z)
     return total
-
-
-def pointwise_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    _require_same_degree(f, g)
-    return ClassFunction(f.m, tuple(x * y for x, y in zip(f.values, g.values)))
-
-
-def pointwise_power(f: ClassFunction, e: int) -> ClassFunction:
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return ClassFunction(f.m, tuple(x**e for x in f.values))
-
-
-def pointwise_sum(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    _require_same_degree(f, g)
-    return ClassFunction(f.m, tuple(x + y for x, y in zip(f.values, g.values)))
 
 
 @lru_cache(maxsize=None)
+def _square_sum(m: int, rows: int) -> tuple[int, ...]:
+    """Values of the sum of chi_lam^2 over the partitions lam of m with at
+    most `rows` rows, on every class."""
+    total = [0] * len(_classes(m))
+    for lam in partitions_of(m):
+        if len(lam) <= rows:
+            for i, v in enumerate(irreducible_character(lam).values):
+                total[i] += v * v
+    return tuple(total)
+
+
 def conjugation_character(m: int) -> ClassFunction:
     """sum over lam of chi_lam^2: the character of S_m acting on its own
     group algebra by conjugation; its value at a class is the centralizer
-    order z(a)."""
-    _check_degree(m)
-    total = None
-    for lam in partitions_of(m):
-        sq = pointwise_power(irreducible_character(lam), 2)
-        total = sq if total is None else pointwise_sum(total, sq)
-    assert total is not None
-    return total
+    order z(lam)."""
+    return ClassFunction(m, _square_sum(m, m))
 
 
 def kronecker_multiplicity(nu: Partition, lams: list[Partition]) -> int:
@@ -159,10 +139,10 @@ def kronecker_multiplicity(nu: Partition, lams: list[Partition]) -> int:
     m = nu.m
     if any(lam.m != m for lam in lams):
         raise ValueError("all partitions must have the same degree")
-    product = trivial_character(m)
+    values = list(trivial_character(m).values)
     for lam in lams:
-        product = pointwise_product(product, irreducible_character(lam))
-    value = inner_product(irreducible_character(nu), product)
+        values = [x * y for x, y in zip(values, irreducible_character(lam).values)]
+    value = inner_product(irreducible_character(nu), ClassFunction(m, tuple(values)))
     if value.denominator != 1 or value < 0:
         raise AssertionError(f"multiplicity must be a nonnegative integer: {value}")
     return int(value)

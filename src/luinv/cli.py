@@ -13,7 +13,7 @@ import math
 import sys
 
 from .characters import _check_degree, irreducible_character
-from .combinatorics import centralizer_order, cycle_types_of, partitions_of
+from .combinatorics import centralizer_order, partitions_of
 from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
 from .free_group_census import conjugation_orbit_count, count_subgroup_classes
@@ -105,10 +105,9 @@ def _cmd_orbits(args) -> int:
 def _cmd_char_table(args) -> int:
     _check_degree(args.m)
     partitions = partitions_of(args.m)
-    classes = cycle_types_of(args.m)
     labels = [str(p) for p in partitions]
     print("# class\t" + "\t".join(labels))
-    sizes = [math.factorial(args.m) // centralizer_order(a) for a in classes]
+    sizes = [math.factorial(args.m) // centralizer_order(lam) for lam in partitions]
     print("# size\t" + "\t".join(str(s) for s in sizes))
     for lam in partitions:
         chi = irreducible_character(lam)

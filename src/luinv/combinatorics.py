@@ -1,7 +1,9 @@
-"""Partitions of m, cycle types of S_m, and centralizer orders.
+"""Partitions of m and centralizer orders in S_m.
 
-The canonical ordering used throughout the package is reverse-lexicographic
-on partitions: (m) comes first, (1, ..., 1) last.  Class functions in other
+A partition labels both an irreducible character of S_m and a conjugacy
+class, the class of permutations whose cycle lengths are its parts.  The
+canonical ordering used throughout the package is reverse-lexicographic on
+partitions: (m) comes first, (1, ..., 1) last.  Class functions in other
 modules index conjugacy classes in exactly this order.
 """
 
@@ -36,34 +38,6 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle counts (a_1, ..., a_m): a_i permutations cycles of length i.
-
-    The count list always has full length m, trailing zeros included, so
-    that the centralizer-order product can be indexed uniformly.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(not isinstance(a, int) or a < 0 for a in self.counts):
-            raise ValueError(f"counts must be nonnegative integers: {self.counts}")
-        if sum((i + 1) * a for i, a in enumerate(self.counts)) != len(self.counts):
-            raise ValueError(f"sum of i*a_i must equal m = len(counts): {self.counts}")
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-    def cycle_lengths(self) -> tuple[int, ...]:
-        """Cycle lengths in decreasing order (the partition's parts)."""
-        out = []
-        for i in range(len(self.counts), 0, -1):
-            out.extend([i] * self.counts[i - 1])
-        return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(m: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     if m == 0:
@@ -82,31 +56,14 @@ def partitions_of(m: int) -> list[Partition]:
     return [Partition(t) for t in _partition_tuples(m, m)]
 
 
-def partition_to_cycle_type(lam: Partition) -> CycleType:
-    """Cycle type whose i-cycles are counted by the multiplicity of i in lam."""
-    m = lam.m
-    counts = [0] * m
-    for p in lam.parts:
-        counts[p - 1] += 1
-    return CycleType(tuple(counts))
+def centralizer_order(lam: Partition) -> int:
+    """z(lam) = prod_i i^{a_i} a_i!, a_i the multiplicity of i in lam: the
+    order of the centralizer in S_m of a permutation with cycle lengths lam.
 
-
-def cycle_type_to_partition(a: CycleType) -> Partition:
-    """Inverse of partition_to_cycle_type."""
-    return Partition(a.cycle_lengths())
-
-
-def centralizer_order(a: CycleType) -> int:
-    """z(a) = prod_i i^{a_i} a_i!, the centralizer order in S_m.
-
-    Equals m! divided by the size of the conjugacy class with cycle type a.
+    Equals m! divided by the size of that conjugacy class.
     """
     z = 1
-    for i, count in enumerate(a.counts, start=1):
+    for i in set(lam.parts):
+        count = lam.parts.count(i)
         z *= i**count * math.factorial(count)
     return z
-
-
-def cycle_types_of(m: int) -> list[CycleType]:
-    """Cycle types of S_m in canonical (partition reverse-lex) order."""
-    return [partition_to_cycle_type(lam) for lam in partitions_of(m)]

@@ -1,9 +1,11 @@
 """Dimension formulas for spaces of local-unitary invariant polynomials.
 
 The stabilized dimension is read off the cycle-index product of the series
-module; the character route, (chi_(m), (sum of chi_lam^2)^(k-1)), is its
-independent oracle, and the bounded-dimension formula truncates that inner
-sum by row count.  Every result is an exact int.
+module.  The one character route is the bounded-dimension formula: the
+inner product of the trivial character with a product of sums of chi_lam^2,
+each sum truncated by row count.  With no dimension below m it is
+(chi_(m), (sum of chi_lam^2)^(k-1)), the independent oracle of the
+stabilized dimension.  Every result is an exact int.
 
 All gradings use the half-degree m: a degree-m element is a real polynomial
 of degree m in the state coefficients and m in their conjugates, i.e. of
@@ -14,16 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .characters import (
-    conjugation_character,
-    inner_product,
-    irreducible_character,
-    pointwise_power,
-    pointwise_product,
-    pointwise_sum,
-    trivial_character,
-)
-from .combinatorics import partitions_of
+from .characters import ClassFunction, _square_sum, inner_product, trivial_character
 from .errors import IntegralityError
 from .series import hilbert_series
 
@@ -31,7 +24,8 @@ from .series import hilbert_series
 def stable_dimension(k: int, m: int) -> int:
     """Dimension of the degree-m invariant space once all local dimensions
     are at least m: the t^m coefficient of the cycle-index product
-    hilbert_series(k, m), i.e. the sum over cycle types a of z(a)^(k-2).
+    hilbert_series(k, m), i.e. the sum over partitions lam of m of
+    z(lam)^(k-2).
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
@@ -39,14 +33,11 @@ def stable_dimension(k: int, m: int) -> int:
 
 
 def stable_dimension_via_characters(k: int, m: int) -> int:
-    """Same dimension through (chi_(m), (sum over lam of chi_lam^2)^(k-1))."""
+    """Same dimension through (chi_(m), (sum over lam of chi_lam^2)^(k-1)):
+    the restricted dimension with k-1 subsystems none of which bounds m."""
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    conj = conjugation_character(m)
-    value = inner_product(trivial_character(m), pointwise_power(conj, k - 1))
-    if value.denominator != 1:
-        raise IntegralityError(f"character formula gave non-integer: {value}")
-    return int(value)
+    return restricted_dimension((max(m, 1),) * (k - 1), m)
 
 
 def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
@@ -61,17 +52,10 @@ def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
     """
     if m < 0 or any(n < 1 for n in bounded_dims):
         raise ValueError("need m >= 0 and positive dimensions")
-    product = trivial_character(m)
+    product = trivial_character(m).values
     for n in bounded_dims:
-        truncated = None
-        for lam in partitions_of(m):
-            if len(lam) > n:
-                continue
-            sq = pointwise_power(irreducible_character(lam), 2)
-            truncated = sq if truncated is None else pointwise_sum(truncated, sq)
-        assert truncated is not None  # the empty partition always fits
-        product = pointwise_product(product, truncated)
-    value = inner_product(trivial_character(m), product)
+        product = tuple(x * y for x, y in zip(product, _square_sum(m, min(n, m))))
+    value = inner_product(trivial_character(m), ClassFunction(m, product))
     if value.denominator != 1:
         raise IntegralityError(f"restricted dimension not integral: {value}")
     return int(value)

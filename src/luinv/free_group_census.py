@@ -49,14 +49,16 @@ def _conjugate(p: Perm, s: Perm) -> Perm:
 
 
 def check_tuple_bound(degree: int, length: int, limit: int) -> None:
-    """Refuse when the degree!^length raw tuples exceed limit.
+    """Refuse when the degree!^max(length, 1) raw tuples exceed limit.
 
+    At length 0 the count is the degree! permutations, since the walk lists
+    them all with their move tables even though there is one empty tuple.
     The count is multiplied up one factor at a time and given up once it
     passes limit**2, so the check's own cost does not grow with the input;
     below that the refusal states the exact count.
     """
     count = 1
-    for _ in range(length if degree > 1 else 0):
+    for _ in range(max(length, 1) if degree > 1 else 0):
         for i in range(2, degree + 1):
             count *= i
             if count > limit**2:

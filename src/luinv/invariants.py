@@ -43,6 +43,9 @@ __all__ = [
 
 HIGHER_MAX_M = 3
 HIGHER_MAX_TOTAL_DIM = 81
+# Largest number of tensor writes, admissible index tables times
+# (m!)^(k+1), that higher_invariant makes: about 3 s.
+HIGHER_WORK_BOUND = 10**6
 # Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
 # entries, that the I-family kernel builds: eight qubits fit.
 I_TABLE_BOUND = 1 << 21
@@ -228,31 +231,14 @@ def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
 def basis_vector_m2(
     dims: Sequence[int], subset: SubsetMask, index_pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """The signed pair sum over row choices, symmetrized into H tensor H.
+    """The degree-2 basis vector: higher_basis_vector at m = 2, the signed
+    pair sum over row choices symmetrized into H tensor H.
 
     index_pairs gives (i_0j, i_1j) per subsystem, 0-based, weakly increasing,
-    and strictly increasing on the subset's members.  The squared norm is
-    2^(k+c) with c the number of equal pairs.
+    and strictly increasing on the subset's members; the subset must have
+    even size.  The squared norm is 2^(k+c) with c the number of equal pairs.
     """
-    dims = tuple(dims)
-    k = len(dims)
-    _require_subset(k, subset)
-    if len(index_pairs) != k:
-        raise ValueError("need one index pair per subsystem")
-    for j, (a, b) in enumerate(index_pairs, start=1):
-        if not (0 <= a <= b < dims[j - 1]):
-            raise ValueError(f"pair {(a, b)} out of range for subsystem {j}")
-        if j in subset and a == b:
-            raise ValueError(f"pair at subsystem {j} must be strict inside the subset")
-    n = math.prod(dims)
-    abits = subset.bits
-    raw = np.zeros((n, n))
-    for bmask in range(1 << k):
-        rows0 = [index_pairs[j][bmask >> j & 1] for j in range(k)]
-        rows1 = [index_pairs[j][1 - (bmask >> j & 1)] for j in range(k)]
-        sign = -1.0 if (bmask & abits).bit_count() & 1 else 1.0
-        raw[_flat_index(rows0, dims), _flat_index(rows1, dims)] += sign
-    return (raw + raw.T) / 2.0
+    return higher_basis_vector(dims, subset, 2, index_pairs)
 
 
 def _admissible_rows(n: int, m: int, strict: bool):
@@ -330,6 +316,11 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
 
     There is no closed norm formula beyond m = 2, so the norms are computed
     numerically from the constructed vectors.
+
+    Refused past m = HIGHER_MAX_M, a total dimension of HIGHER_MAX_TOTAL_DIM,
+    or HIGHER_WORK_BOUND tensor writes: each admissible table costs
+    (m!)^(k+1), one per choice of a permutation per subsystem and a
+    symmetrizing one.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
@@ -341,6 +332,17 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         raise EnumerationBoundError(
             f"refusing higher-order evaluation at m={m}, total dimension {n} "
             f"(bounds: m <= {HIGHER_MAX_M}, total dimension <= {HIGHER_MAX_TOTAL_DIM})"
+        )
+    tables = math.prod(
+        math.comb(d if j in subset else d + m - 1, m)
+        for j, d in enumerate(psi.dims, start=1)
+    )
+    work = tables * math.factorial(m) ** (psi.k + 1)
+    if work > HIGHER_WORK_BOUND:
+        raise EnumerationBoundError(
+            f"refusing higher-order evaluation of {tables} index tables at "
+            f"{math.factorial(m)}^{psi.k + 1} tensor writes each "
+            f"(limit {HIGHER_WORK_BOUND} writes)"
         )
     power = psi.coeffs
     for _ in range(m - 1):

@@ -1,23 +1,23 @@
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from luinv import (
+    ClassFunction,
     EnumerationBoundError,
     Partition,
     centralizer_order,
     conjugation_character,
-    cycle_types_of,
     inner_product,
     irreducible_character,
     kronecker_multiplicity,
     partitions_of,
-    pointwise_power,
-    pointwise_product,
-    sign_character,
     trivial_character,
 )
+from luinv.characters import _square_sum
 
 
 @lru_cache(maxsize=None)
@@ -52,9 +52,8 @@ def test_trivial_character_constant_one():
 def test_sign_character():
     for m in range(1, 7):
         chi = irreducible_character(Partition((1,) * m))
-        assert chi.values == sign_character(m).values
-        for i, a in enumerate(cycle_types_of(m)):
-            assert chi.values[i] == (-1) ** (m - sum(a.counts))
+        # (-1)^(m - number of cycles) on each class.
+        assert chi.values == tuple((-1) ** (m - len(lam)) for lam in partitions_of(m))
 
 
 def test_standard_representation_m3():
@@ -81,14 +80,39 @@ def test_orthonormality(m):
 @pytest.mark.parametrize("m", range(0, 8))
 def test_column_orthogonality(m):
     conj = conjugation_character(m)
-    for i, a in enumerate(cycle_types_of(m)):
-        assert conj.values[i] == centralizer_order(a)
+    assert conj.values == tuple(centralizer_order(lam) for lam in partitions_of(m))
+
+
+def _longest_decreasing(perm: tuple[int, ...]) -> int:
+    best = [1] * len(perm)
+    for j in range(len(perm)):
+        for i in range(j):
+            if perm[i] > perm[j]:
+                best[j] = max(best[j], best[i] + 1)
+    return max(best, default=0)
+
+
+@pytest.mark.parametrize("m", range(0, 11))
+def test_square_sum_counts_permutations(m):
+    # At the identity class the sum of (f^lam)^2 over lam with at most r
+    # rows counts, by RSK, the permutations of m with no decreasing run
+    # longer than r: 1 for one row, the Catalan number for two, m! for m.
+    sums = [_square_sum(m, rows) for rows in range(max(m, 1) + 1)]
+    assert sums[1][IDENTITY] == 1
+    if m >= 2:
+        assert sums[2][IDENTITY] == math.comb(2 * m, m) // (m + 1)
+    assert sums[-1][IDENTITY] == math.factorial(m)
+    assert sums[-1] == conjugation_character(m).values
+    for low, high in zip(sums, sums[1:]):
+        assert all(a <= b for a, b in zip(low, high))
+    if m <= 7:
+        runs = [_longest_decreasing(p) for p in itertools.permutations(range(m))]
+        for rows, values in enumerate(sums):
+            assert values[IDENTITY] == sum(1 for r in runs if r <= rows)
 
 
 @pytest.mark.parametrize("m", range(0, 8))
 def test_sum_of_squared_dimensions(m):
-    import math
-
     total = sum(
         irreducible_character(lam).values[IDENTITY] ** 2 for lam in partitions_of(m)
     )
@@ -98,26 +122,14 @@ def test_sum_of_squared_dimensions(m):
 def test_inner_product_paper_value():
     # (chi_(2), chi_(1,1)^2) = 1: an even number of sign factors.
     sign = irreducible_character(Partition((1, 1)))
-    assert inner_product(trivial_character(2), pointwise_product(sign, sign)) == 1
+    squared = ClassFunction(2, tuple(v * v for v in sign.values))
+    assert inner_product(trivial_character(2), squared) == 1
     assert inner_product(trivial_character(2), sign) == 0
 
 
 def test_inner_product_degree_mismatch():
     with pytest.raises(ValueError):
         inner_product(trivial_character(2), trivial_character(3))
-
-
-def test_pointwise_ops():
-    chi = irreducible_character(Partition((2, 1)))
-    one = trivial_character(3)
-    assert pointwise_product(chi, one).values == chi.values
-    assert pointwise_power(chi, 0).values == one.values
-    sign = sign_character(2)
-    assert pointwise_product(sign, sign).values == trivial_character(2).values
-    with pytest.raises(ValueError):
-        pointwise_product(trivial_character(2), trivial_character(3))
-    with pytest.raises(ValueError):
-        pointwise_power(chi, -1)
 
 
 def test_inner_product_returns_exact_rational():
@@ -165,7 +177,6 @@ def test_character_degree_bound():
     for call in (
         lambda: irreducible_character(Partition((17,))),
         lambda: trivial_character(40),
-        lambda: sign_character(17),
         lambda: conjugation_character(40),
     ):
         with pytest.raises(EnumerationBoundError, match="S_"):

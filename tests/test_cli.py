@@ -76,6 +76,20 @@ def test_orbits_value_and_bound(capsys):
     assert "refusing" in err
 
 
+def test_orbits_length_zero_is_bounded(capsys):
+    # At length 0 the walk still lists all m! permutations; 12! is refused
+    # before any is listed, and 9! still fits.
+    from luinv import EnumerationBoundError, conjugation_orbit_count
+    from luinv.free_group_census import MAX_TUPLES, check_tuple_bound
+
+    with pytest.raises(EnumerationBoundError):
+        check_tuple_bound(12, 0, MAX_TUPLES)
+    code, out, err = run(capsys, "orbits", "--tuple-length", "0", "--m", "12")
+    assert (code, out) == (3, "")
+    assert err.startswith("luinv: refusing")
+    assert conjugation_orbit_count(0, 9) == 1
+
+
 def test_char_table(capsys):
     code, out, _ = run(capsys, "char-table", "--m", "3")
     assert code == 0
@@ -234,6 +248,17 @@ def test_higher_bound_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "refusing" in err
+
+
+def test_higher_work_bound_exits_3(tmp_path, capsys):
+    # Four qubits at m = 3: 256 index tables of 6^5 writes each.
+    path = tmp_path / "ghz4.state"
+    write_state_file(path, ghz_state(4))
+    code, out, err = run(
+        capsys, "eval", "--invariant", "higher", "--state", str(path), "--subset", "", "--m", "3"
+    )
+    assert (code, out) == (3, "")
+    assert "limit 1000000 writes" in err
 
 
 def test_byte_determinism(tmp_path, capsys):

@@ -2,15 +2,8 @@ import math
 
 import pytest
 
-from luinv import (
-    CycleType,
-    Partition,
-    centralizer_order,
-    cycle_type_to_partition,
-    cycle_types_of,
-    partition_to_cycle_type,
-    partitions_of,
-)
+from luinv import Partition, centralizer_order, partitions_of
+from luinv.characters import _classes
 
 
 def _partition_count(m: int) -> int:
@@ -58,42 +51,21 @@ def test_partition_validation():
         Partition((2, 0))
 
 
-def test_cycle_type_bijection_examples():
-    assert partition_to_cycle_type(Partition((1, 1, 1))).counts == (3, 0, 0)
-    assert partition_to_cycle_type(Partition((3,))).counts == (0, 0, 1)
-    a = partition_to_cycle_type(Partition((2, 1, 1)))
-    assert a.counts == (2, 1, 0, 0)
-    assert cycle_type_to_partition(a).parts == (2, 1, 1)
-
-
-@pytest.mark.parametrize("m", range(0, 11))
-def test_bijection_roundtrip(m):
-    for lam in partitions_of(m):
-        assert cycle_type_to_partition(partition_to_cycle_type(lam)) == lam
-    for a in cycle_types_of(m):
-        assert partition_to_cycle_type(cycle_type_to_partition(a)) == a
-
-
-def test_cycle_type_validation():
-    with pytest.raises(ValueError):
-        CycleType((1, 1))  # 1*1 + 2*1 = 3 != 2
-    with pytest.raises(ValueError):
-        CycleType((-1, 1))
-
-
 def test_centralizer_examples():
     m = 5
-    identity = CycleType((m,) + (0,) * (m - 1))
-    assert centralizer_order(identity) == math.factorial(m)
-    full_cycle = CycleType((0,) * (m - 1) + (1,))
-    assert centralizer_order(full_cycle) == m
-    assert [centralizer_order(a) for a in cycle_types_of(2)] == [2, 2]
-    assert [centralizer_order(a) for a in cycle_types_of(3)] == [3, 2, 6]
+    assert centralizer_order(Partition((1,) * m)) == math.factorial(m)
+    assert centralizer_order(Partition((m,))) == m
+    assert centralizer_order(Partition((2, 2, 1))) == 2**2 * math.factorial(2)
+    assert [centralizer_order(lam) for lam in partitions_of(2)] == [2, 2]
+    assert [centralizer_order(lam) for lam in partitions_of(3)] == [3, 2, 6]
 
 
 @pytest.mark.parametrize("m", range(0, 11))
 def test_class_sizes_partition_group(m):
-    total = sum(math.factorial(m) // centralizer_order(a) for a in cycle_types_of(m))
-    assert total == math.factorial(m)
-    for a in cycle_types_of(m):
-        assert math.factorial(m) % centralizer_order(a) == 0
+    # The character layer labels the classes by partitions_of(m), in order.
+    classes = _classes(m)
+    assert [parts for parts, _ in classes] == [lam.parts for lam in partitions_of(m)]
+    for (_, z), lam in zip(classes, partitions_of(m)):
+        assert z == centralizer_order(lam)
+        assert math.factorial(m) % z == 0
+    assert sum(math.factorial(m) // z for _, z in classes) == math.factorial(m)

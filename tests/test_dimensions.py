@@ -102,6 +102,23 @@ def test_restricted_monotone_and_constant_above_m():
         assert restricted_dimension((n, n), m) == plateau == stable_dimension(3, m)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=3),
+    st.integers(min_value=0, max_value=6),
+)
+def test_restricted_monotone_with_stable_plateau(dims, m):
+    value = restricted_dimension(dims, m)
+    for j in range(len(dims)):
+        raised = dims[:j] + [dims[j] + 1] + dims[j + 1 :]
+        assert restricted_dimension(raised, m) >= value
+    # The cycle-index product, which does not use characters.
+    plateau = stable_dimension(len(dims) + 1, m)
+    assert restricted_dimension([max(n, m) for n in dims], m) == plateau
+    if all(n >= m for n in dims):
+        assert value == plateau
+
+
 def test_mixed_dimension():
     for m in range(0, 9):
         assert mixed_dimension(1, m) == len(partitions_of(m))

@@ -68,6 +68,21 @@ def _invariant_I_by_definition(psi, subset):
     return 2.0**-k * total
 
 
+def _basis_vector_m2_by_definition(dims, subset, index_pairs):
+    """The degree-2 basis vector from its definition: the signed pair sum
+    over the 2^k row choices, symmetrized into H tensor H."""
+    k = len(dims)
+    n = math.prod(dims)
+    strides = [math.prod(dims[j + 1 :]) for j in range(k)]
+    raw = np.zeros((n, n))
+    for bmask in range(1 << k):
+        row0 = sum(strides[j] * index_pairs[j][bmask >> j & 1] for j in range(k))
+        row1 = sum(strides[j] * index_pairs[j][1 - (bmask >> j & 1)] for j in range(k))
+        sign = -1.0 if (bmask & subset.bits).bit_count() & 1 else 1.0
+        raw[row0, row1] += sign
+    return (raw + raw.T) / 2.0
+
+
 small_dims = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -172,6 +187,32 @@ def test_transform_roundtrip_random():
         vec = InvariantVector(k, tuple(rng.standard_normal(1 << k)))
         back = i_from_j(j_from_i(vec))
         assert np.abs(np.array(back.values) - np.array(vec.values)).max() < 1e-12
+
+
+exact_values = st.one_of(
+    st.integers(-(10**9), 10**9),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda k: st.lists(exact_values, min_size=1 << k, max_size=1 << k)
+    )
+)
+def test_transform_roundtrip_is_exact(values):
+    vec = InvariantVector((len(values) - 1).bit_length(), tuple(values))
+    assert i_from_j(j_from_i(vec)).values == vec.values
+
+
+@settings(deadline=None, max_examples=40)
+@given(dims=small_dims, seed=seeds)
+def test_j_from_i_matches_purities(dims, seed):
+    psi = random_pure_state(dims, seed)
+    forward = j_from_i(invariant_I_vector(psi)).values
+    jvec = invariant_J_vector(projector(psi)).values
+    assert np.abs(np.array(forward) - np.array(jvec)).max() < 1e-12
 
 
 def test_transform_exact_on_rationals():
@@ -292,31 +333,28 @@ def test_basis_vector_m2_admissibility():
         basis_vector_m2((2, 2), SubsetMask.of(2, []), [(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         basis_vector_m2((2, 2), SubsetMask.of(2, []), [(0, 2), (0, 1)])
+    with pytest.raises(ValueError, match="even size"):
+        basis_vector_m2((2, 2), SubsetMask.of(2, [1]), [(0, 1), (0, 0)])
 
 
 def test_higher_basis_vector_matches_m2():
-    dims = (2, 3)
-    ratios = []
-    for subset in all_subsets(2):
-        if len(subset) % 2:
-            continue
-        strict = [j in subset for j in (1, 2)]
-        site_pairs = [
-            list(itertools.combinations(range(n), 2))
-            if s
-            else list(itertools.combinations_with_replacement(range(n), 2))
-            for n, s in zip(dims, strict)
-        ]
-        for pairs in itertools.product(*site_pairs):
-            v2 = basis_vector_m2(dims, subset, pairs)
-            hv = higher_basis_vector(dims, subset, 2, pairs)
-            norm = np.abs(v2).max()
-            assert norm > 0
-            mask = np.abs(v2) > 1e-14
-            assert np.abs(hv[~mask]).max(initial=0.0) < 1e-12
-            ratios.append(hv[mask] / v2[mask])
-    flat = np.concatenate([r.reshape(-1) for r in ratios])
-    assert np.abs(flat - flat[0]).max() < 1e-12
+    for dims in [(2, 3), (2, 2, 2)]:
+        k = len(dims)
+        for subset in all_subsets(k):
+            if len(subset) % 2:
+                continue
+            site_pairs = [
+                list(itertools.combinations(range(n), 2))
+                if j in subset
+                else list(itertools.combinations_with_replacement(range(n), 2))
+                for j, n in enumerate(dims, start=1)
+            ]
+            for pairs in itertools.product(*site_pairs):
+                reference = _basis_vector_m2_by_definition(dims, subset, pairs)
+                assert np.abs(reference).max() > 0
+                hv = higher_basis_vector(dims, subset, 2, pairs)
+                assert np.array_equal(hv, reference)
+                assert np.array_equal(basis_vector_m2(dims, subset, pairs), hv)
 
 
 def test_higher_basis_vector_monomial():
