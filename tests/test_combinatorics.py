@@ -51,6 +51,45 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def _cycle_count_vectors(m: int) -> list[tuple[int, ...]]:
+    """Independent enumeration of (a_1, ..., a_m) >= 0 with sum_i i*a_i = m."""
+
+    def tails(rest: int, i: int) -> list[tuple[int, ...]]:
+        if i > m:
+            return [()] if rest == 0 else []
+        return [
+            (a,) + tail for a in range(rest // i + 1) for tail in tails(rest - i * a, i + 1)
+        ]
+
+    return tails(m, 1)
+
+
+@pytest.mark.parametrize("m", range(0, 11))
+def test_bijection_roundtrip(m):
+    # A partition of m is the class of permutations with those cycle lengths:
+    # partitions_of(m) is in bijection with the cycle-count vectors
+    # (a_1, ..., a_m), sum i*a_i = m, and z(lam) = prod i^{a_i} a_i!.
+    def counts(lam):
+        return tuple(lam.parts.count(i) for i in range(1, m + 1))
+
+    def from_counts(a):
+        return Partition(tuple(i for i in range(m, 0, -1) for _ in range(a[i - 1])))
+
+    lams = partitions_of(m)
+    for lam in lams:
+        assert from_counts(counts(lam)) == lam
+        assert Partition(lam.parts) == lam
+        a = counts(lam)
+        assert centralizer_order(lam) == math.prod(
+            (i + 1) ** k * math.factorial(k) for i, k in enumerate(a)
+        )
+    vectors = _cycle_count_vectors(m)
+    for a in vectors:
+        assert counts(from_counts(a)) == a
+    assert sorted(counts(lam) for lam in lams) == sorted(vectors)
+    assert len(set(lams)) == len(lams)
+
+
 def test_centralizer_examples():
     m = 5
     assert centralizer_order(Partition((1,) * m)) == math.factorial(m)
