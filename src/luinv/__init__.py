@@ -16,7 +16,6 @@ from .characters import (
     conjugation_character,
     inner_product,
     irreducible_character,
-    kronecker_multiplicity,
     trivial_character,
 )
 from .dimensions import (
@@ -29,7 +28,6 @@ from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
 from .free_group_census import conjugation_orbit_count, count_subgroup_classes
 from .invariants import (
     InvariantVector,
-    basis_vector_m2,
     eta,
     higher_basis_vector,
     higher_invariant,

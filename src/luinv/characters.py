@@ -132,17 +132,3 @@ def conjugation_character(m: int) -> ClassFunction:
     order z(lam)."""
     return ClassFunction(m, _square_sum(m, m))
 
-
-def kronecker_multiplicity(nu: Partition, lams: list[Partition]) -> int:
-    """Multiplicity of the nu-irreducible in the tensor product of the
-    lam-irreducibles: (chi_nu, chi_lam1 * ... * chi_lamk)."""
-    m = nu.m
-    if any(lam.m != m for lam in lams):
-        raise ValueError("all partitions must have the same degree")
-    values = list(trivial_character(m).values)
-    for lam in lams:
-        values = [x * y for x, y in zip(values, irreducible_character(lam).values)]
-    value = inner_product(irreducible_character(nu), ClassFunction(m, tuple(values)))
-    if value.denominator != 1 or value < 0:
-        raise AssertionError(f"multiplicity must be a nonnegative integer: {value}")
-    return int(value)

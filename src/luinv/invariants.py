@@ -2,6 +2,13 @@
 the degree-2 mixed-state family J_A, the subset-parity transform between
 them, derived entanglement measures, and the higher-order analogues.
 
+The higher-order invariant of a subset A at order m is the squared norm
+of (P_1 x ... x P_k) psi^m, where P_j = (1/m!) sum over sigma in S_m of
+chi(sigma) sigma permutes the m copies of subsystem j, chi the sign for j
+in A and 1 otherwise: one signed sum of axis transposes per subsystem.
+It equals the squared projection of psi^m onto the span of the explicit
+basis vectors higher_basis_vector, which tests use as its oracle.
+
 The subset-parity transform is a Walsh-Hadamard transform over the 2^k
 subsets.  One helper computes it by butterflies; it serves j_from_i and
 i_from_j (exactly, on int and Fraction values) and the I-family, whose
@@ -18,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,15 +43,13 @@ __all__ = [
     "i_from_j",
     "eta",
     "meyer_wallach",
-    "basis_vector_m2",
     "higher_basis_vector",
     "higher_invariant",
 ]
 
-HIGHER_MAX_M = 3
-HIGHER_MAX_TOTAL_DIM = 81
-# Largest number of tensor writes, admissible index tables times
-# (m!)^(k+1), that higher_invariant makes: about 3 s.
+# Largest number of tensor entries written by higher_invariant (k * m! *
+# n^m; five qubits at m = 3 fit) and by higher_basis_vector ((m!)^(k+1),
+# and its n^m entries).
 HIGHER_WORK_BOUND = 10**6
 # Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
 # entries, that the I-family kernel builds: eight qubits fit.
@@ -182,13 +187,14 @@ def i_from_j(jvec: InvariantVector) -> InvariantVector:
 
 def eta(rho: DensityMatrix, subset: SubsetMask) -> float:
     """Entanglement monotone D/(D-1) (1 - J_A) with D the dimension of the
-    traced-out factors; requires a normalized state and a subset that is
-    neither empty nor everything."""
+    traced-out factors; requires a positive semidefinite state of unit
+    trace and a subset that is neither empty nor everything."""
     _require_subset(rho.k, subset)
     if len(subset) == 0 or subset.is_full():
         raise ValueError("subset must be nonempty and proper")
     if abs(rho.trace() - 1.0) > 1e-9:
         raise ValueError(f"state must have unit trace, got {rho.trace()}")
+    rho.validate_physical()
     d = math.prod(rho.dims[j - 1] for j in subset)
     if d < 2:
         raise ValueError("traced-out dimension must be at least 2")
@@ -221,30 +227,25 @@ def meyer_wallach(psi: PureState) -> float:
 # Basis vectors of the invariant subspaces and higher-order invariants
 
 
+def _check_work(factors: Iterable[int], what: str) -> None:
+    """Refuse with EnumerationBoundError as soon as the running product of
+    the factors passes HIGHER_WORK_BOUND.  Factors are consumed one at a
+    time, so a count with a huge factorial in it is refused in a few steps."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > HIGHER_WORK_BOUND:
+            raise EnumerationBoundError(
+                f"refusing {what} exceeds the limit of "
+                f"{HIGHER_WORK_BOUND} tensor entries written"
+            )
+
+
 def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
     flat = 0
     for i, n in zip(indices, dims):
         flat = flat * n + i
     return flat
-
-
-def basis_vector_m2(
-    dims: Sequence[int], subset: SubsetMask, index_pairs: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """The degree-2 basis vector: higher_basis_vector at m = 2, the signed
-    pair sum over row choices symmetrized into H tensor H.
-
-    index_pairs gives (i_0j, i_1j) per subsystem, 0-based, weakly increasing,
-    and strictly increasing on the subset's members; the subset must have
-    even size.  The squared norm is 2^(k+c) with c the number of equal pairs.
-    """
-    return higher_basis_vector(dims, subset, 2, index_pairs)
-
-
-def _admissible_rows(n: int, m: int, strict: bool):
-    if strict:
-        return list(itertools.combinations(range(n), m))
-    return list(itertools.combinations_with_replacement(range(n), m))
 
 
 def higher_basis_vector(
@@ -259,7 +260,12 @@ def higher_basis_vector(
 
     index_table has one length-m row per subsystem, weakly increasing off
     the subset and strictly increasing on it; the subset must have even
-    size.  Distinct admissible tables give orthogonal vectors.
+    size.  Distinct admissible tables give orthogonal vectors.  At m = 2
+    the squared norm is 2^(k+c), c the number of equal index pairs.
+
+    Refused before any allocation when the tensor's n^m entries, or its
+    (m!)^(k+1) writes (a permutation per subsystem and a symmetrizing
+    one), exceed HIGHER_WORK_BOUND.
     """
     dims = tuple(dims)
     k = len(dims)
@@ -279,10 +285,13 @@ def higher_basis_vector(
             if (b <= a) if strict else (b < a):
                 raise ValueError(f"row {row} not admissible for subsystem {j}")
     n = math.prod(dims)
-    if n**m > 1_000_000:
-        raise EnumerationBoundError(
-            f"refusing a tensor with {n**m} entries (total dimension {n}, m={m})"
-        )
+    _check_work(
+        itertools.repeat(n, m), f"a basis vector at m={m}, total dimension {n}: n^m"
+    )
+    _check_work(
+        itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), k + 1)),
+        f"a basis vector at m={m}, k={k}: (m!)^(k+1)",
+    )
     perms = list(itertools.permutations(range(m)))
     weight = 1.0 / math.factorial(m)
     out = np.zeros((n,) * m)
@@ -311,52 +320,42 @@ def _perm_sign(p: tuple[int, ...]) -> float:
 
 def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     """Squared projection of the m-fold power of psi onto the invariant
-    subspace of the subset: sum over admissible index tables of
-    |<v, psi^m>|^2 / ||v||^2, using pairwise orthogonality of the v's.
+    subspace of the subset: ||(P_1 x ... x P_k) psi^m||^2, where P_j =
+    (1/m!) sum over sigma in S_m of chi(sigma) sigma permutes the m copies
+    of subsystem j, chi the sign on the subset's members and 1 elsewhere.
 
-    There is no closed norm formula beyond m = 2, so the norms are computed
-    numerically from the constructed vectors.
+    The admissible basis vectors of higher_basis_vector span the image of
+    Sym composed with the P_j; each P_j is central in the group algebra, so
+    it commutes with Sym, and psi^m is already symmetric.  At m = 2 this is
+    I_A.
 
-    Refused past m = HIGHER_MAX_M, a total dimension of HIGHER_MAX_TOTAL_DIM,
-    or HIGHER_WORK_BOUND tensor writes: each admissible table costs
-    (m!)^(k+1), one per choice of a permutation per subsystem and a
-    symmetrizing one.
+    Refused when k * m! * n^m tensor entries written (k at least 1, n the
+    total dimension) exceed HIGHER_WORK_BOUND.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
         raise ValueError("subset must have even size")
     if m < 1:
         raise ValueError("need m >= 1")
+    k = psi.k
     n = math.prod(psi.dims)
-    if m > HIGHER_MAX_M or n > HIGHER_MAX_TOTAL_DIM:
-        raise EnumerationBoundError(
-            f"refusing higher-order evaluation at m={m}, total dimension {n} "
-            f"(bounds: m <= {HIGHER_MAX_M}, total dimension <= {HIGHER_MAX_TOTAL_DIM})"
-        )
-    tables = math.prod(
-        math.comb(d if j in subset else d + m - 1, m)
-        for j, d in enumerate(psi.dims, start=1)
+    _check_work(
+        itertools.chain([max(k, 1)], range(2, m + 1), itertools.repeat(n, m)),
+        f"higher-order evaluation at m={m}, total dimension {n}: k * m! * n^m",
     )
-    work = tables * math.factorial(m) ** (psi.k + 1)
-    if work > HIGHER_WORK_BOUND:
-        raise EnumerationBoundError(
-            f"refusing higher-order evaluation of {tables} index tables at "
-            f"{math.factorial(m)}^{psi.k + 1} tensor writes each "
-            f"(limit {HIGHER_WORK_BOUND} writes)"
-        )
     power = psi.coeffs
     for _ in range(m - 1):
         power = np.multiply.outer(power, psi.coeffs)
-    row_choices = [
-        _admissible_rows(psi.dims[j - 1], m, strict=(j in subset))
-        for j in range(1, psi.k + 1)
-    ]
-    total = 0.0
-    for table in itertools.product(*row_choices):
-        vec = higher_basis_vector(psi.dims, subset, m, table)
-        norm_sq = float(np.vdot(vec, vec).real)
-        if norm_sq == 0.0:
-            continue
-        overlap = np.vdot(vec, power)
-        total += (overlap.real**2 + overlap.imag**2) / norm_sq
-    return total
+    power = power.reshape(psi.dims * m)
+    perms = list(itertools.permutations(range(m)))
+    for j in range(1, k + 1):
+        copies = [c * k + j - 1 for c in range(m)]
+        total = np.zeros_like(power)
+        for sigma in perms:
+            axes = list(range(power.ndim))
+            for c, s in zip(copies, sigma):
+                axes[c] = copies[s]
+            sign = _perm_sign(sigma) if j in subset else 1.0
+            total += sign * power.transpose(axes)
+        power = total / math.factorial(m)
+    return float(np.vdot(power, power).real)

@@ -41,9 +41,6 @@ class SubsetMask:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
 
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(self.k, frozenset(range(1, self.k + 1)) - self.members)
-
     def is_full(self) -> bool:
         return len(self.members) == self.k
 

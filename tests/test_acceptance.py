@@ -12,7 +12,6 @@ import numpy as np
 from luinv import (
     SubsetMask,
     all_subsets,
-    basis_vector_m2,
     bell_state,
     conjugation_orbit_count,
     count_subgroup_classes,
@@ -186,7 +185,7 @@ def test_criterion_09_norm_law():
                         list(itertools.combinations_with_replacement(range(n), 2))
                     )
             for pairs in itertools.product(*site_pairs):
-                v = basis_vector_m2(dims, subset, pairs)
+                v = higher_basis_vector(dims, subset, 2, pairs)
                 c = sum(1 for a, b in pairs if a == b)
                 ok = ok and abs(np.vdot(v, v).real - 2.0 ** (k + c)) < 1e-10
     _verdict(9, "basis-vector norm law 2^(k+c)", ok, time.time() - start)

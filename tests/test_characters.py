@@ -13,7 +13,6 @@ from luinv import (
     conjugation_character,
     inner_product,
     irreducible_character,
-    kronecker_multiplicity,
     partitions_of,
     trivial_character,
 )
@@ -139,34 +138,48 @@ def test_inner_product_returns_exact_rational():
     assert value == 0
 
 
+def _kronecker_multiplicity(nu, lams):
+    """(chi_nu, chi_lam1 ... chi_lamk): the multiplicity of the
+    nu-irreducible in the tensor product, which must be a nonnegative
+    integer."""
+    product = trivial_character(nu.m)
+    for lam in lams:
+        chi = irreducible_character(lam)
+        values = tuple(x * y for x, y in zip(product.values, chi.values))
+        product = ClassFunction(chi.m, values)
+    value = inner_product(irreducible_character(nu), product)
+    assert value.denominator == 1 and value >= 0, value
+    return int(value)
+
+
 def test_kronecker_trivial_cases():
     m = 4
     triv = Partition((m,))
-    assert kronecker_multiplicity(triv, [triv, triv, triv]) == 1
+    assert _kronecker_multiplicity(triv, [triv, triv, triv]) == 1
     for lam in partitions_of(m):
         for mu in partitions_of(m):
-            assert kronecker_multiplicity(lam, [mu]) == (1 if lam == mu else 0)
+            assert _kronecker_multiplicity(lam, [mu]) == (1 if lam == mu else 0)
 
 
 def test_kronecker_paper_value_m2():
-    assert kronecker_multiplicity(
+    assert _kronecker_multiplicity(
         Partition((2,)), [Partition((1, 1)), Partition((1, 1))]
     ) == 1
-    assert kronecker_multiplicity(Partition((2,)), [Partition((1, 1))]) == 0
+    assert _kronecker_multiplicity(Partition((2,)), [Partition((1, 1))]) == 0
 
 
 def test_kronecker_permutation_invariance():
     lams = [Partition((2, 1)), Partition((3,)), Partition((1, 1, 1))]
-    reference = kronecker_multiplicity(Partition((2, 1)), lams)
-    assert reference == kronecker_multiplicity(Partition((2, 1)), lams[::-1])
-    assert reference == kronecker_multiplicity(
+    reference = _kronecker_multiplicity(Partition((2, 1)), lams)
+    assert reference == _kronecker_multiplicity(Partition((2, 1)), lams[::-1])
+    assert reference == _kronecker_multiplicity(
         Partition((2, 1)), [lams[1], lams[0], lams[2]]
     )
 
 
 def test_kronecker_degree_mismatch():
     with pytest.raises(ValueError):
-        kronecker_multiplicity(Partition((2,)), [Partition((3,))])
+        _kronecker_multiplicity(Partition((2,)), [Partition((3,))])
 
 
 def test_character_degree_bound():

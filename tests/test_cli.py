@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from luinv import bell_state, ghz_state, random_density_matrix, write_state_file
+from luinv import (
+    DensityMatrix,
+    bell_state,
+    ghz_state,
+    random_density_matrix,
+    random_unitary,
+    write_state_file,
+)
 from luinv.cli import main
 
 
@@ -234,31 +241,38 @@ def test_internal_assertion_exits_4(capsys, monkeypatch):
 def test_higher_bound_exits_3(tmp_path, capsys):
     path = tmp_path / "bell.state"
     write_state_file(path, bell_state())
-    code, _, err = run(
-        capsys,
-        "eval",
-        "--invariant",
-        "higher",
-        "--state",
-        str(path),
-        "--subset",
-        "",
-        "--m",
-        "5",
-    )
-    assert code == 3
+    argv = ["eval", "--invariant", "higher", "--state", str(path), "--subset", ""]
+    code, out, _ = run(capsys, *argv, "--m", "5")
+    assert (code, out) == (0, "0.187500000\n")
+    code, out, err = run(capsys, *argv, "--m", str(10**6))
+    assert (code, out) == (3, "")
     assert "refusing" in err
 
 
 def test_higher_work_bound_exits_3(tmp_path, capsys):
-    # Four qubits at m = 3: 256 index tables of 6^5 writes each.
+    # k * m! * n^m entries written: GHZ4 at m = 3 writes 98,304, at m = 4
+    # 6,291,456.
     path = tmp_path / "ghz4.state"
     write_state_file(path, ghz_state(4))
-    code, out, err = run(
-        capsys, "eval", "--invariant", "higher", "--state", str(path), "--subset", "", "--m", "3"
-    )
+    argv = ["eval", "--invariant", "higher", "--state", str(path), "--subset", ""]
+    code, out, _ = run(capsys, *argv, "--m", "3")
+    assert (code, out) == (0, "0.277777778\n")
+    code, out, err = run(capsys, *argv, "--m", "4")
     assert (code, out) == (3, "")
-    assert "limit 1000000 writes" in err
+    assert "exceeds the limit of 1000000 tensor entries written" in err
+
+
+def test_eta_rejects_non_psd_state_exits_2(tmp_path, capsys):
+    # Hermitian with unit trace, eigenvalues 0.7, 0.7, -0.2, -0.2.
+    u = random_unitary(4, seed=3)
+    entries = u @ np.diag([0.7, 0.7, -0.2, -0.2]) @ u.conj().T
+    path = tmp_path / "indefinite.state"
+    write_state_file(path, DensityMatrix((2, 2), entries))
+    code, out, err = run(
+        capsys, "eval", "--invariant", "eta", "--state", str(path), "--subset", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "positive semidefinite" in err
 
 
 def test_byte_determinism(tmp_path, capsys):

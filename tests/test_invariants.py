@@ -14,7 +14,6 @@ from luinv import (
     SubsetMask,
     all_subsets,
     apply_local_unitaries,
-    basis_vector_m2,
     bell_state,
     eta,
     ghz_state,
@@ -27,6 +26,7 @@ from luinv import (
     invariant_J_vector,
     j_from_i,
     meyer_wallach,
+    permutation_contraction,
     product_state,
     projector,
     purify,
@@ -81,6 +81,31 @@ def _basis_vector_m2_by_definition(dims, subset, index_pairs):
         sign = -1.0 if (bmask & subset.bits).bit_count() & 1 else 1.0
         raw[row0, row1] += sign
     return (raw + raw.T) / 2.0
+
+
+def _higher_invariant_by_tables(psi, subset, m):
+    """The higher invariant as the squared projection of psi^m onto the
+    admissible basis vectors: sum over index tables (one length-m row per
+    subsystem, strictly increasing on the subset's members, weakly
+    elsewhere) of |<v, psi^m>|^2 / ||v||^2, using their orthogonality."""
+    power = psi.coeffs
+    for _ in range(m - 1):
+        power = np.multiply.outer(power, psi.coeffs)
+    row_choices = [
+        itertools.combinations(range(n), m)
+        if j in subset
+        else itertools.combinations_with_replacement(range(n), m)
+        for j, n in enumerate(psi.dims, start=1)
+    ]
+    total = 0.0
+    for table in itertools.product(*row_choices):
+        vec = higher_basis_vector(psi.dims, subset, m, table)
+        norm_sq = float(np.vdot(vec, vec).real)
+        if norm_sq == 0.0:
+            continue
+        overlap = np.vdot(vec, power)
+        total += (overlap.real**2 + overlap.imag**2) / norm_sq
+    return total
 
 
 small_dims = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
@@ -310,9 +335,9 @@ def test_purification_compatibility():
 
 
 def test_basis_vector_m2_norms_single_site():
-    v = basis_vector_m2((3,), SubsetMask.of(1, []), [(0, 1)])
+    v = higher_basis_vector((3,), SubsetMask.of(1, []), 2, [(0, 1)])
     assert np.vdot(v, v).real == pytest.approx(2.0)
-    v = basis_vector_m2((3,), SubsetMask.of(1, []), [(1, 1)])
+    v = higher_basis_vector((3,), SubsetMask.of(1, []), 2, [(1, 1)])
     assert np.vdot(v, v).real == pytest.approx(4.0)
 
 
@@ -320,7 +345,7 @@ def test_basis_vector_m2_orthogonality():
     dims = (2, 2)
     subset = SubsetMask.of(2, [])
     pairs = list(itertools.product([(0, 0), (0, 1), (1, 1)], repeat=2))
-    vectors = [basis_vector_m2(dims, subset, p) for p in pairs]
+    vectors = [higher_basis_vector(dims, subset, 2, p) for p in pairs]
     for i, v in enumerate(vectors):
         for w in vectors[i + 1 :]:
             assert abs(np.vdot(v, w)) < 1e-12
@@ -328,13 +353,13 @@ def test_basis_vector_m2_orthogonality():
 
 def test_basis_vector_m2_admissibility():
     with pytest.raises(ValueError):
-        basis_vector_m2((2, 2), SubsetMask.of(2, [1]), [(0, 0), (0, 1)])
+        higher_basis_vector((2, 2), SubsetMask.of(2, [1]), 2, [(0, 0), (0, 1)])
     with pytest.raises(ValueError):
-        basis_vector_m2((2, 2), SubsetMask.of(2, []), [(1, 0), (0, 1)])
+        higher_basis_vector((2, 2), SubsetMask.of(2, []), 2, [(1, 0), (0, 1)])
     with pytest.raises(ValueError):
-        basis_vector_m2((2, 2), SubsetMask.of(2, []), [(0, 2), (0, 1)])
+        higher_basis_vector((2, 2), SubsetMask.of(2, []), 2, [(0, 2), (0, 1)])
     with pytest.raises(ValueError, match="even size"):
-        basis_vector_m2((2, 2), SubsetMask.of(2, [1]), [(0, 1), (0, 0)])
+        higher_basis_vector((2, 2), SubsetMask.of(2, [1]), 2, [(0, 1), (0, 0)])
 
 
 def test_higher_basis_vector_matches_m2():
@@ -354,7 +379,6 @@ def test_higher_basis_vector_matches_m2():
                 assert np.abs(reference).max() > 0
                 hv = higher_basis_vector(dims, subset, 2, pairs)
                 assert np.array_equal(hv, reference)
-                assert np.array_equal(basis_vector_m2(dims, subset, pairs), hv)
 
 
 def test_higher_basis_vector_monomial():
@@ -396,8 +420,94 @@ def test_higher_basis_vector_validation():
         )
 
 
+def test_higher_basis_vector_work_bound():
+    # One qubit at m = 7 would write (7!)^2 entries; (40, 40) at m = 2
+    # would allocate 1600^2.
+    for m in (7, 8):
+        with pytest.raises(EnumerationBoundError):
+            higher_basis_vector((2,), SubsetMask.of(1, []), m, [(0,) * m])
+    with pytest.raises(EnumerationBoundError):
+        higher_basis_vector((40, 40), SubsetMask.of(2, []), 2, [(0, 0), (0, 0)])
+
+
+def test_higher_invariant_matches_tables():
+    for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2)]:
+        psi = random_pure_state(dims, seed=5)
+        for subset in all_subsets(len(dims)):
+            if len(subset) % 2:
+                continue
+            for m in (1, 2, 3):
+                assert abs(
+                    higher_invariant(psi, subset, m)
+                    - _higher_invariant_by_tables(psi, subset, m)
+                ) < 1e-12
+
+
+def _permutation_sign(p):
+    """(-1)^(m - number of cycles)."""
+    seen = set()
+    cycles = 0
+    for start in range(len(p)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+    return -1 if (len(p) - cycles) % 2 else 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    m=st.integers(1, 3),
+    seed=seeds,
+)
+def test_higher_invariant_is_signed_contraction_sum(dims, m, seed):
+    # (m!)^-k sum over S_m^k of prod_{j in A} sgn(pi_j) contraction(pi).
+    psi = random_pure_state(dims, seed)
+    k = len(dims)
+    perms = list(itertools.permutations(range(m)))
+    signs = {p: _permutation_sign(p) for p in perms}
+    terms = [
+        (pis, permutation_contraction(psi, pis))
+        for pis in itertools.product(perms, repeat=k)
+    ]
+    for subset in all_subsets(k):
+        if len(subset) % 2:
+            continue
+        total = 0.0
+        for pis, value in terms:
+            sign = math.prod(signs[pis[j - 1]] for j in subset)
+            total += sign * value.real
+        expected = total / math.factorial(m) ** k
+        assert abs(higher_invariant(psi, subset, m) - expected) < 1e-12
+
+
+def test_higher_invariant_ghz_anchor():
+    # GHZ_k: psi^m projects onto the product of one Dicke state per
+    # Hamming weight w, so the invariant is 2^-m sum_w C(m,w)^(2-k).
+    from luinv.invariants import HIGHER_WORK_BOUND
+
+    for k in range(2, 6):
+        for m in range(1, 5):
+            empty = SubsetMask.of(k, [])
+            if k * math.factorial(m) * 2 ** (k * m) > HIGHER_WORK_BOUND:
+                with pytest.raises(EnumerationBoundError):
+                    higher_invariant(ghz_state(k), empty, m)
+                continue
+            expected = 2.0**-m * sum(
+                Fraction(math.comb(m, w)) ** (2 - k) for w in range(m + 1)
+            )
+            assert higher_invariant(ghz_state(k), empty, m) == pytest.approx(
+                float(expected), abs=1e-12
+            )
+
+
 def test_higher_invariant_matches_I_at_m2():
-    for dims, seed in [((2, 2), 19), ((3, 3), 20), ((2, 2, 2), 21), ((2, 3), 22)]:
+    for dims, seed in [
+        ((2, 2), 19), ((3, 3), 20), ((2, 2, 2), 21), ((2, 3), 22), ((5, 5, 5), 27)
+    ]:
         psi = random_pure_state(dims, seed)
         for subset in all_subsets(len(dims)):
             if len(subset) % 2:
@@ -439,8 +549,13 @@ def test_higher_invariant_validation():
         higher_invariant(psi, SubsetMask.of(2, [1]), 2)
     with pytest.raises(ValueError):
         higher_invariant(psi, SubsetMask.of(2, []), 0)
+    # k * m! * n^m entries written: a huge m is refused within a few
+    # factors, (2, 3) at m = 5 at 1,866,240, four qubits at m = 4 at 6.3
+    # million.
     with pytest.raises(EnumerationBoundError):
-        higher_invariant(psi, SubsetMask.of(2, []), 4)
-    big = random_pure_state((5, 5, 5), seed=27)
+        higher_invariant(psi, SubsetMask.of(2, []), 10**6)
     with pytest.raises(EnumerationBoundError):
-        higher_invariant(big, SubsetMask.of(3, []), 2)
+        higher_invariant(random_pure_state((2, 3), seed=28), SubsetMask.of(2, []), 5)
+    four = random_pure_state((2, 2, 2, 2), seed=27)
+    with pytest.raises(EnumerationBoundError):
+        higher_invariant(four, SubsetMask.of(4, []), 4)
