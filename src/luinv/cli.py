@@ -11,32 +11,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from .characters import _check_degree, irreducible_character
 from .combinatorics import centralizer_order, partitions_of
 from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
 from .free_group_census import conjugation_orbit_count, count_subgroup_classes
-from .invariants import (
-    eta,
-    higher_invariant,
-    i_from_j,
-    invariant_I,
-    invariant_I_vector,
-    invariant_J,
-    invariant_J_vector,
-    j_from_i,
-    meyer_wallach,
-)
 from .series import euler_exponents, hilbert_series
-from .states import (
-    DensityMatrix,
-    PureState,
-    invariant_space_rank,
-    projector,
-    read_state_file,
-)
 from .subsets import SubsetMask, all_subsets
+
+if TYPE_CHECKING:  # the numpy tier is imported by the commands that use it
+    from .states import DensityMatrix, PureState
 
 
 def _fmt(value: float) -> str:
@@ -91,9 +77,11 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_subgroups(args) -> int:
+    # The whole table first, so a refused or invalid index prints nothing.
+    rows = [(d, count_subgroup_classes(args.rank, d)) for d in range(1, args.max_index + 1)]
     print("# index\tclasses")
-    for d in range(1, args.max_index + 1):
-        print(f"{d}\t{count_subgroup_classes(args.rank, d)}")
+    for d, classes in rows:
+        print(f"{d}\t{classes}")
     return 0
 
 
@@ -116,16 +104,23 @@ def _cmd_char_table(args) -> int:
 
 
 def _as_density(state) -> DensityMatrix:
+    from .states import PureState, projector
+
     return projector(state) if isinstance(state, PureState) else state
 
 
 def _as_pure(state) -> PureState:
+    from .states import PureState
+
     if not isinstance(state, PureState):
         raise ValueError("this invariant needs a pure state file")
     return state
 
 
 def _cmd_eval(args) -> int:
+    from .invariants import eta, higher_invariant, invariant_I, invariant_J, meyer_wallach
+    from .states import read_state_file
+
     state = read_state_file(args.state)
     k = len(state.dims)
     subset = _parse_subset(args.subset, k)
@@ -148,6 +143,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .invariants import i_from_j, invariant_I_vector, invariant_J_vector, j_from_i
+    from .states import projector, read_state_file
+
     psi = _as_pure(read_state_file(args.state))
     k = psi.k
     ivec = invariant_I_vector(psi)
@@ -166,6 +164,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_rank_oracle(args) -> int:
+    from .states import invariant_space_rank
+
     dims = _parse_dims(args.local_dims)
     print(invariant_space_rank(dims, args.m, args.samples, args.seed))
     return 0

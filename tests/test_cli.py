@@ -75,6 +75,16 @@ def test_subgroups_table(capsys):
     assert out.splitlines() == ["# index\tclasses", "1\t1", "2\t3", "3\t7"]
 
 
+def test_subgroups_failure_prints_no_partial_table(capsys):
+    # Index 6 is refused after indices 1..5 fit; rank 0 is invalid at index 1.
+    code, out, err = run(capsys, "subgroups", "--rank", "2", "--max-index", "6")
+    assert (code, out) == (3, "")
+    assert err.startswith("luinv: refusing")
+    code, out, err = run(capsys, "subgroups", "--rank", "0", "--max-index", "3")
+    assert (code, out) == (2, "")
+    assert err == "luinv: need rank >= 1 and index >= 1\n"
+
+
 def test_orbits_value_and_bound(capsys):
     code, out, _ = run(capsys, "orbits", "--tuple-length", "2", "--m", "3")
     assert (code, out) == (0, "11\n")

@@ -1,0 +1,182 @@
+"""The package surface: which names `luinv` exports, and that the exact
+layers and their CLI commands run without importing numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import luinv
+from luinv.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Every name `luinv` exported when all layers were imported eagerly, by
+# defining module.
+PUBLIC_API = {
+    "combinatorics": ["Partition", "centralizer_order", "partitions_of"],
+    "characters": [
+        "ClassFunction",
+        "conjugation_character",
+        "inner_product",
+        "irreducible_character",
+        "trivial_character",
+    ],
+    "dimensions": [
+        "mixed_dimension",
+        "restricted_dimension",
+        "stable_dimension",
+        "stable_dimension_via_characters",
+    ],
+    "errors": ["ConsistencyError", "EnumerationBoundError", "IntegralityError"],
+    "free_group_census": ["conjugation_orbit_count", "count_subgroup_classes"],
+    "invariants": [
+        "InvariantVector",
+        "eta",
+        "higher_basis_vector",
+        "higher_invariant",
+        "i_from_j",
+        "invariant_I",
+        "invariant_I_vector",
+        "invariant_J",
+        "invariant_J_vector",
+        "j_from_i",
+        "meyer_wallach",
+    ],
+    "series": [
+        "GeneratorCounts",
+        "PowerSeries",
+        "euler_exponents",
+        "expand_euler_product",
+        "free_generator_count",
+        "hilbert_series",
+    ],
+    "states": [
+        "DensityMatrix",
+        "PureState",
+        "apply_local_unitaries",
+        "bell_state",
+        "ghz_state",
+        "invariant_space_rank",
+        "partial_trace",
+        "permutation_contraction",
+        "product_state",
+        "projector",
+        "purify",
+        "random_density_matrix",
+        "random_pure_state",
+        "random_unitary",
+        "read_state_file",
+        "write_state_file",
+    ],
+    "subsets": ["SubsetMask", "all_subsets"],
+}
+
+COMBINATORIAL_COMMANDS = [
+    ["dims", "--k", "3", "--m", "2"],
+    ["dims", "--local-dims", "2,2", "--m", "3"],
+    ["hilbert", "--k", "3", "--order", "6"],
+    ["subgroups", "--rank", "2", "--max-index", "4"],
+    ["orbits", "--tuple-length", "2", "--m", "4"],
+    ["char-table", "--m", "4"],
+]
+
+# Runs in a fresh interpreter: records whether numpy is loaded after each
+# step, and each command's exit code and stdout.
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+steps, outcomes = [], []
+import luinv
+steps.append(["import luinv", "numpy" in sys.modules])
+import luinv.cli
+steps.append(["import luinv.cli", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = luinv.cli.main(argv)
+    steps.append([" ".join(argv), "numpy" in sys.modules])
+    outcomes.append([code, out.getvalue()])
+print(json.dumps({"steps": steps, "outcomes": outcomes}))
+"""
+
+# Runs in a fresh interpreter: lists the package before the numpy tier is
+# touched, touches it through one name, then resolves every public name.
+_API_SCRIPT = """
+import importlib, json, sys
+first, api = sys.argv[1], json.loads(sys.argv[2])
+import luinv
+listed = set(dir(luinv))
+numpy_before = "numpy" in sys.modules
+exec(f"from luinv import {first}")
+tier = sorted(m for m in ("luinv.invariants", "luinv.states") if m in sys.modules)
+star = {}
+exec("from luinv import *", star)
+wrong = []
+for module, names in api.items():
+    source = importlib.import_module(f"luinv.{module}")
+    for name in names:
+        imported = {}
+        exec(f"from luinv import {name}", imported)
+        want = getattr(source, name)
+        if not (getattr(luinv, name) is imported[name] is star.get(name) is want):
+            wrong.append(name)
+unknown = []
+for name in ("np", "no_such_name"):
+    try:
+        getattr(luinv, name)
+    except AttributeError:
+        continue
+    unknown.append(name)
+print(json.dumps({
+    "unlisted": sorted(n for names in api.values() for n in names if n not in listed),
+    "numpy_before": numpy_before,
+    "tier": tier,
+    "wrong": wrong,
+    "resolved_unknown": unknown,
+}))
+"""
+
+
+def _fresh(script: str, *args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_combinatorial_commands_never_import_numpy(capsys):
+    report = _fresh(_NUMPY_FREE_SCRIPT, json.dumps(COMBINATORIAL_COMMANDS))
+    assert [step for step, loaded in report["steps"] if loaded] == []
+    for argv, (code, out) in zip(COMBINATORIAL_COMMANDS, report["outcomes"]):
+        assert (code, out) == (main(argv), capsys.readouterr().out), argv
+
+
+@pytest.mark.parametrize("first", ["eta", "PureState", "invariants", "states"])
+def test_public_api_is_unchanged(first):
+    report = _fresh(_API_SCRIPT, first, json.dumps(PUBLIC_API))
+    assert report == {
+        "unlisted": [],
+        "numpy_before": False,
+        "tier": ["luinv.invariants", "luinv.states"],
+        "wrong": [],
+        "resolved_unknown": [],
+    }
+
+
+def test_public_api_in_process():
+    # With the numpy tier loaded, unknown names still raise.
+    luinv.PureState
+    assert sorted(luinv.__all__) == sorted(n for names in PUBLIC_API.values() for n in names)
+    for name in ("np", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(luinv, name)
