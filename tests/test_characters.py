@@ -4,6 +4,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import (
     ClassFunction,
@@ -16,7 +18,7 @@ from luinv import (
     partitions_of,
     trivial_character,
 )
-from luinv.characters import _square_sum
+from luinv.characters import _classes, _square_sum
 
 
 @lru_cache(maxsize=None)
@@ -34,6 +36,35 @@ def _syt_count(shape: tuple[int, ...]) -> int:
             if smaller[-1] == 0:
                 smaller.pop()
             total += _syt_count(tuple(smaller))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _border_strip_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi_lam on a permutation with the given cycle lengths (sorted desc),
+    by recursive border-strip removal row by row: the oracle of the
+    column-wise bead-mask evaluation under test."""
+    if not lam:
+        return 1
+    t = cycles[0]
+    rest = cycles[1:]
+    ell = len(lam)
+    # First-column hook lengths; strictly decreasing for a valid partition.
+    beta = [lam[i] + ell - 1 - i for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((x for x in beta if x != b), reverse=True)
+        new_beta.append(nb)
+        new_beta.sort(reverse=True)
+        new_lam = tuple(
+            x - (ell - 1 - j) for j, x in enumerate(new_beta) if x - (ell - 1 - j) > 0
+        )
+        total += (-1) ** height * _border_strip_value(new_lam, rest)
     return total
 
 
@@ -194,3 +225,27 @@ def test_character_degree_bound():
     ):
         with pytest.raises(EnumerationBoundError, match="S_"):
             call()
+
+
+@pytest.mark.parametrize("m", range(0, 13))
+def test_table_matches_border_strip_oracle(m):
+    for lam in partitions_of(m):
+        expected = tuple(_border_strip_value(lam.parts, c) for c, _ in _classes(m))
+        assert irreducible_character(lam).values == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_character_value_matches_border_strip_oracle(data):
+    m = data.draw(st.integers(min_value=0, max_value=14))
+    lam = data.draw(st.sampled_from(partitions_of(m)))
+    i = data.draw(st.integers(min_value=0, max_value=len(_classes(m)) - 1))
+    cycles = _classes(m)[i][0]
+    assert irreducible_character(lam).values[i] == _border_strip_value(lam.parts, cycles)
+
+
+def test_inner_product_of_rational_class_functions():
+    # Rational values go through the same single division by m!.
+    half = ClassFunction(3, (Fraction(1, 2),) * 3)
+    assert inner_product(half, trivial_character(3)) == Fraction(1, 2)
+    assert inner_product(half, half) == Fraction(1, 4)

@@ -11,6 +11,7 @@ from luinv import (
     partitions_of,
     stable_dimension,
 )
+from luinv import free_group_census
 from luinv.free_group_census import _is_transitive, orbit_representatives
 
 
@@ -96,6 +97,36 @@ def test_orbit_representatives_count_conjugation_orbits(k):
         assert len(reps) == conjugation_orbit_count(k, m) == stable_dimension(k + 1, m)
         for rep in reps:
             assert rep == min(_conjugate_all(rep, m))
+
+
+@pytest.mark.parametrize("length,m", [(2, 5), (3, 4), (1, 8), (5, 3)])
+def test_orbit_count_matches_stable_dimension_at_census_sizes(length, m):
+    count = conjugation_orbit_count(length, m)
+    assert count == stable_dimension(length + 1, m)
+    if (length, m) == (1, 8):
+        assert count == 22
+
+
+def test_representatives_are_orbit_minima_at_degree_five():
+    reps = orbit_representatives(2, 5)
+    assert list(reps) == sorted(set(reps))
+    for rep in reps:
+        assert rep == min(_conjugate_all(rep, 5))
+
+
+@pytest.mark.parametrize("rank,index", [(2, 4), (3, 3)])
+def test_transitivity_tested_once_per_orbit(monkeypatch, rank, index):
+    calls = []
+
+    def counting(perms, degree):
+        calls.append(perms)
+        return _is_transitive(perms, degree)
+
+    monkeypatch.setattr(free_group_census, "_is_transitive", counting)
+    # __wrapped__ skips the memo, so the walk runs afresh.
+    reps = orbit_representatives.__wrapped__(rank, index, transitive_only=True)
+    assert len(calls) == len(orbit_representatives(rank, index))
+    assert reps == orbit_representatives(rank, index, transitive_only=True)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
