@@ -1,10 +1,12 @@
 """Brute-force orbit enumeration, the census oracle.
 
 One walk over permutation tuples finds a representative of every orbit of
-S_degree acting on them by simultaneous conjugation.  The orbit counts
-here and the columns of the numerical rank oracle both come from it.  It
-deliberately avoids the centralizer-order formula and Burnside counting, so
-that its results are independent of the identities they are used to verify.
+S_degree acting on them by simultaneous conjugation.  The orbit counts,
+the subgroup counts (its transitive orbits) and the columns of the
+numerical rank oracle all come from it, one memoized walk per (length,
+degree).  It deliberately avoids the centralizer-order formula and
+Burnside counting, so that its results are independent of the identities
+they are used to verify.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ def _is_transitive(perms: tuple[Perm, ...], degree: int) -> bool:
 def check_tuple_bound(degree: int, length: int, limit: int) -> None:
     """Refuse when the degree!^max(length, 1) raw tuples exceed limit.
 
-    At length 0 the count is the degree! permutations, since the walk lists
-    them all with their move tables even though there is one empty tuple.
+    At length 0 the count is still the degree! permutations, although the
+    one empty tuple is found without listing them: one formula,
+    degree!^max(length, 1), at every length keeps the set of refused inputs,
+    and so the CLI's exit codes, stable.
     The count is multiplied up one factor at a time and given up once it
     passes limit**2, so the check's own cost does not grow with the input;
     below that the refusal states the exact count.
@@ -68,67 +72,72 @@ def _refuse(count, degree: int, length: int, limit: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def orbit_representatives(
-    length: int, degree: int, transitive_only: bool = False
-) -> tuple[tuple[Perm, ...], ...]:
+def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], ...]:
     """One tuple of `length` permutations of range(degree) per orbit of
     S_degree acting by simultaneous conjugation: the lexicographic minimum
-    of its orbit, in increasing order.  With transitive_only, only the
-    orbits of transitive tuples (conjugation preserves transitivity).
+    of its orbit, in increasing order.
 
     A tuple is held as its code, the integer whose base-degree! digits are
     the positions of its entries in the lexicographic list of permutations,
     so codes increase in lexicographic order of tuples.  The transposition
     (0 1) and the degree-cycle generate S_degree; conjugating by each is
     tabulated once over the permutations, then expanded into an image list
-    over all degree!^length codes.  The walk takes the smallest code not
-    marked in a bytearray of degree!^length flags as a representative, and
-    marks its orbit by pushing and popping codes through the image lists; a
-    permutation tuple is built only for each representative, and
-    transitivity is tested once per orbit.  Walks past MAX_TUPLES tuples
-    are refused; callers may check a tighter bound first.
+    over all degree!^length codes (at length 1 the table is the list).  The
+    walk takes the smallest code not marked in a bytearray of
+    degree!^length flags as a representative, and marks its orbit by
+    pushing and popping codes through the two image lists; a permutation
+    tuple is built only for each representative.  Walks past MAX_TUPLES
+    tuples are refused; callers may check a tighter bound first.  Length 0
+    and degrees below 2 have one orbit and are answered without a walk.
 
-    The two image lists hold 2 * degree!^length ints.  From a cold start,
-    walks at (length, degree) = (2, 5), (3, 4), (1, 8) and (5, 3) take about
-    7, 7, 85 and 7 ms, against 27, 36, 230 and 21 ms for a walk that
-    conjugated tuples entry by entry in Python (2-core host, Python 3.11).
+    The two image lists hold 2 * degree!^length ints.  Walks at (length,
+    degree) = (2, 5), (3, 4), (1, 8) and (5, 3) take about 5, 6, 55 and
+    7 ms (best of seven, each with fresh tables), against 6, 7, 65 and 7 ms
+    with a loop over the image lists in the inner step and 27, 36, 230 and
+    21 ms for a walk that conjugated tuples entry by entry in Python
+    (2-core host, Python 3.11).  Subgroup and orbit counts at one (length,
+    degree) share the walk, so each size is walked once per process.
     """
     check_tuple_bound(degree, length, MAX_TUPLES)
+    if length == 0 or degree < 2:
+        return ((tuple(range(degree)),) * length,)
     perms = list(itertools.permutations(range(degree)))
     position = {p: i for i, p in enumerate(perms)}
-    generators = [] if degree < 2 else [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
     n = len(perms)
     images = []
-    for s in generators:
+    for s in ((1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)):
         # itertools.permutations(s) lists the tuples x -> s(p(x)) with p in
         # the order of perms; reading each at s^-1 gives s p s^-1.
         s_inverse = sorted(range(degree), key=s.__getitem__)
         move = list(map(position.__getitem__, map(itemgetter(*s_inverse), itertools.permutations(s))))
-        image = [0]
-        for _ in range(length):
+        image = move
+        for _ in range(length - 1):
             image = [x * n + y for x in image for y in move]
         images.append(image)
+    first, second = images
     seen = bytearray(n**length)
     reps = []
     c = seen.find(0)
     while c >= 0:
         seen[c] = 1
         stack = [c]
+        push, pop = stack.append, stack.pop
         while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
+            x = pop()
+            y = first[x]
+            if not seen[y]:
+                seen[y] = 1
+                push(y)
+            y = second[x]
+            if not seen[y]:
+                seen[y] = 1
+                push(y)
         digits = []
         rest = c
         for _ in range(length):
             rest, d = divmod(rest, n)
             digits.append(perms[d])
-        rep = tuple(reversed(digits))
-        if not transitive_only or _is_transitive(rep, degree):
-            reps.append(rep)
+        reps.append(tuple(reversed(digits)))
         c = seen.find(0, c + 1)
     return tuple(reps)
 
@@ -136,10 +145,11 @@ def orbit_representatives(
 def count_subgroup_classes(rank: int, index: int) -> int:
     """Number of conjugacy classes of index-`index` subgroups of the free
     group on `rank` generators, counted as transitive actions on `index`
-    points up to simultaneous conjugation."""
+    points up to simultaneous conjugation: conjugation preserves
+    transitivity, so one test per orbit representative decides it."""
     if rank < 1 or index < 1:
         raise ValueError("need rank >= 1 and index >= 1")
-    return len(orbit_representatives(rank, index, transitive_only=True))
+    return sum(1 for rep in orbit_representatives(rank, index) if _is_transitive(rep, index))
 
 
 def conjugation_orbit_count(tuple_length: int, m: int) -> int:

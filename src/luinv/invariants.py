@@ -5,9 +5,10 @@ them, derived entanglement measures, and the higher-order analogues.
 The higher-order invariant of a subset A at order m is the squared norm
 of (P_1 x ... x P_k) psi^m, where P_j = (1/m!) sum over sigma in S_m of
 chi(sigma) sigma permutes the m copies of subsystem j, chi the sign for j
-in A and 1 otherwise: one signed sum of axis transposes per subsystem.
-It equals the squared projection of psi^m onto the span of the explicit
-basis vectors higher_basis_vector, which tests use as its oracle.
+in A and 1 otherwise: one signed sum of axis transposes per subsystem
+but the last, whose projector the others already imply.  It equals the
+squared projection of psi^m onto the span of the explicit basis vectors
+higher_basis_vector, which tests use as its oracle.
 
 The subset-parity transform is a Walsh-Hadamard transform over the 2^k
 subsets.  One helper computes it by butterflies; it serves j_from_i and
@@ -47,9 +48,9 @@ __all__ = [
     "higher_invariant",
 ]
 
-# Largest number of tensor entries written by higher_invariant (k * m! *
-# n^m; five qubits at m = 3 fit) and by higher_basis_vector ((m!)^(k+1),
-# and its n^m entries).
+# Largest work count of higher_invariant (k * m! * n^m, one more projector
+# than it writes; five qubits at m = 3 fit) and of higher_basis_vector
+# ((m!)^(k+1), and its n^m entries).
 HIGHER_WORK_BOUND = 10**6
 # Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
 # entries, that the I-family kernel builds: eight qubits fit.
@@ -329,8 +330,13 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     it commutes with Sym, and psi^m is already symmetric.  At m = 2 this is
     I_A.
 
-    Refused when k * m! * n^m tensor entries written (k at least 1, n the
-    total dimension) exceed HIGHER_WORK_BOUND.
+    The projector of subsystem k is skipped: psi^m is fixed by permuting
+    the copies of every subsystem at once, so sigma on subsystem k acts on
+    (P_1 x ... x P_(k-1)) psi^m as the product of the other characters at
+    sigma^-1, which is chi_k(sigma) since the subset has even size; P_k is
+    the identity there.  So at most (k - 1) * m! * n^m entries are written
+    (n the total dimension), but the refusal still counts k * m! * n^m (k
+    at least 1) against HIGHER_WORK_BOUND.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
@@ -348,7 +354,7 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         power = np.multiply.outer(power, psi.coeffs)
     power = power.reshape(psi.dims * m)
     perms = list(itertools.permutations(range(m)))
-    for j in range(1, k + 1):
+    for j in range(1, k):
         copies = [c * k + j - 1 for c in range(m)]
         total = np.zeros_like(power)
         for sigma in perms:

@@ -123,20 +123,43 @@ def test_transitivity_tested_once_per_orbit(monkeypatch, rank, index):
         return _is_transitive(perms, degree)
 
     monkeypatch.setattr(free_group_census, "_is_transitive", counting)
-    # __wrapped__ skips the memo, so the walk runs afresh.
-    reps = orbit_representatives.__wrapped__(rank, index, transitive_only=True)
-    assert len(calls) == len(orbit_representatives(rank, index))
-    assert reps == orbit_representatives(rank, index, transitive_only=True)
+    count = count_subgroup_classes(rank, index)
+    reps = orbit_representatives(rank, index)
+    assert calls == list(reps)
+    assert count == sum(1 for rep in reps if _is_transitive(rep, index))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_transitive_representatives(rank):
     for index in range(1, 5):
-        reps = orbit_representatives(rank, index, transitive_only=True)
-        assert all(_is_transitive(rep, index) for rep in reps)
-        assert len(reps) == count_subgroup_classes(rank, index)
         everything = orbit_representatives(rank, index)
-        assert reps == tuple(rep for rep in everything if _is_transitive(rep, index))
+        transitive = [rep for rep in everything if _is_transitive(rep, index)]
+        assert count_subgroup_classes(rank, index) == len(transitive)
+        # Conjugation preserves transitivity, so a whole orbit is transitive
+        # or not, and its minimum decides.
+        for rep in everything:
+            assert all(_is_transitive(c, index) == (rep in transitive) for c in _conjugate_all(rep, index))
+
+
+@pytest.mark.parametrize("rank,index", [(2, 4), (3, 3), (1, 6)])
+def test_subgroups_and_orbits_share_one_walk(rank, index):
+    orbit_representatives.cache_clear()
+    count_subgroup_classes(rank, index)
+    conjugation_orbit_count(rank, index)
+    assert orbit_representatives.cache_info().misses == 1
+
+
+def test_length_zero_lists_no_permutations(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("permutations listed")
+
+    monkeypatch.setattr(free_group_census.itertools, "permutations", refuse)
+    orbit_representatives.cache_clear()
+    for degree in range(10):
+        assert orbit_representatives(0, degree) == ((),)
+        assert conjugation_orbit_count(0, degree) == 1
+    with pytest.raises(EnumerationBoundError, match=r"3628800"):
+        conjugation_orbit_count(0, 10)
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:
