@@ -77,7 +77,10 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_subgroups(args) -> int:
-    # The whole table first, so a refused or invalid index prints nothing.
+    # Checked and computed whole first, so a refused or invalid request
+    # prints nothing.
+    if args.rank < 1 or args.max_index < 1:
+        raise ValueError("need rank >= 1 and index >= 1")
     rows = [(d, count_subgroup_classes(args.rank, d)) for d in range(1, args.max_index + 1)]
     print("# index\tclasses")
     for d, classes in rows:

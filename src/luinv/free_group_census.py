@@ -11,9 +11,7 @@ they are used to verify.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import EnumerationBoundError
 
@@ -71,45 +69,112 @@ def _refuse(count, degree: int, length: int, limit: int) -> None:
     )
 
 
+def _permutation_table(degree: int) -> bytes:
+    """All degree! permutations of range(degree), degree >= 1, as one bytes
+    object in lexicographic order, degree bytes per permutation.
+
+    Built by recursion on the first entry: the permutations starting with
+    f are f followed by the table of degree - 1 with every value v >= f
+    raised by one, a translate of that table; its columns are moved into
+    place by stride slice assignment.
+    """
+    table = bytes(1)
+    for size in range(2, degree + 1):
+        count = len(table) // (size - 1)
+        rest = b"".join(
+            table.translate(bytes(range(first)) + bytes(range(first + 1, 256)) + b"\xff")
+            for first in range(size)
+        )
+        grown = bytearray(count * size * size)
+        grown[::size] = b"".join(bytes((first,)) * count for first in range(size))
+        for j in range(1, size):
+            grown[j::size] = rest[j - 1 :: size - 1]
+        table = bytes(grown)
+    return table
+
+
+def _conjugate_table(table: bytes, s: bytes) -> bytearray:
+    """s p s^-1 for every permutation p of the table, in the table's order:
+    the values relabelled by s, then the entry at each position x moved to
+    position s(x)."""
+    degree = len(s)
+    relabelled = table.translate(s + bytes(range(degree, 256)))
+    out = bytearray(len(table))
+    for x, y in enumerate(s):
+        out[y::degree] = relabelled[x::degree]
+    return out
+
+
+def _keys(table: bytes | bytearray, degree: int) -> list[int]:
+    """One int per permutation of the table: its first min(degree, 8)
+    entries packed into eight bytes.  Up to degree 9 (the largest
+    MAX_TUPLES lets through) a permutation is determined by its first
+    eight entries, so the keys are distinct."""
+    if degree > 9:
+        raise ValueError("permutation keys need degree <= 9")
+    packed = bytearray(len(table) // degree * 8)
+    for j in range(min(degree, 8)):
+        packed[j::8] = table[j::degree]
+    return memoryview(packed).cast("Q").tolist()
+
+
+def _move_tables(degree: int) -> tuple[bytes, list[list[int]]]:
+    """The permutation table of S_degree and, for each generator s of
+    (0 1) and the degree-cycle, the list whose i-th entry is the position
+    in the table of s p s^-1, p its i-th permutation."""
+    table = _permutation_table(degree)
+    position = dict(zip(_keys(table, degree), range(len(table) // degree)))
+    transposition = bytes((1, 0)) + bytes(range(2, degree))
+    cycle = bytes(range(1, degree)) + bytes(1)
+    moves = [
+        list(map(position.__getitem__, _keys(_conjugate_table(table, s), degree)))
+        for s in (transposition, cycle)
+    ]
+    return table, moves
+
+
 @lru_cache(maxsize=16)
 def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], ...]:
     """One tuple of `length` permutations of range(degree) per orbit of
     S_degree acting by simultaneous conjugation: the lexicographic minimum
     of its orbit, in increasing order.
 
-    A tuple is held as its code, the integer whose base-degree! digits are
-    the positions of its entries in the lexicographic list of permutations,
+    The degree! permutations are one bytes table in lexicographic order,
+    degree bytes each, and a tuple is held as its code, the integer whose
+    base-degree! digits are the positions of its entries in that table,
     so codes increase in lexicographic order of tuples.  The transposition
     (0 1) and the degree-cycle generate S_degree; conjugating by each is
-    tabulated once over the permutations, then expanded into an image list
-    over all degree!^length codes (at length 1 the table is the list).  The
-    walk takes the smallest code not marked in a bytearray of
-    degree!^length flags as a representative, and marks its orbit by
-    pushing and popping codes through the two image lists; a permutation
-    tuple is built only for each representative.  Walks past MAX_TUPLES
-    tuples are refused; callers may check a tighter bound first.  Length 0
-    and degrees below 2 have one orbit and are answered without a walk.
+    tabulated once over the table (a translate and degree stride slice
+    assignments conjugate every permutation at once, and one dict keyed by
+    the permutations packed into ints ranks the results), then expanded
+    into an image list over all degree!^length codes (at length 1 the move
+    table is the list).  The walk takes the smallest code not marked in a
+    bytearray of degree!^length flags as a representative, and marks its
+    orbit by pushing and popping codes through the two image lists; a
+    permutation tuple is built only for each representative.  Walks past
+    MAX_TUPLES tuples are refused; callers may check a tighter bound
+    first.  Length 0 and degrees below 2 have one orbit and are answered
+    without a walk.
 
-    The two image lists hold 2 * degree!^length ints.  Walks at (length,
-    degree) = (2, 5), (3, 4), (1, 8) and (5, 3) take about 5, 6, 55 and
-    7 ms (best of seven, each with fresh tables), against 6, 7, 65 and 7 ms
-    with a loop over the image lists in the inner step and 27, 36, 230 and
-    21 ms for a walk that conjugated tuples entry by entry in Python
-    (2-core host, Python 3.11).  Subgroup and orbit counts at one (length,
-    degree) share the walk, so each size is walked once per process.
+    The two image lists hold 2 * degree!^length ints; no tuple is built
+    per permutation.  Walks at (length, degree) = (2, 5), (3, 4), (1, 8)
+    and (5, 3) take about 4, 4, 30 and 5 ms (best of seven with fresh
+    tables, median of seven processes), against 5, 6, 55 and 4 ms when
+    the move tables hashed a tuple per permutation (the small sizes differ
+    by less than their spread) and 27, 36, 230 and 21 ms for a walk that
+    conjugated tuples entry by entry in Python (2-core host, Python 3.11).
+    At (1, 9) the walk takes about 0.7 s and peaks at 87 MiB, against
+    1.1 s and 101 MiB with hashed tuples.  Subgroup and orbit counts at one
+    (length, degree) share the walk, so each size is walked once per
+    process.
     """
     check_tuple_bound(degree, length, MAX_TUPLES)
     if length == 0 or degree < 2:
         return ((tuple(range(degree)),) * length,)
-    perms = list(itertools.permutations(range(degree)))
-    position = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
+    table, moves = _move_tables(degree)
+    n = len(table) // degree
     images = []
-    for s in ((1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)):
-        # itertools.permutations(s) lists the tuples x -> s(p(x)) with p in
-        # the order of perms; reading each at s^-1 gives s p s^-1.
-        s_inverse = sorted(range(degree), key=s.__getitem__)
-        move = list(map(position.__getitem__, map(itemgetter(*s_inverse), itertools.permutations(s))))
+    for move in moves:
         image = move
         for _ in range(length - 1):
             image = [x * n + y for x in image for y in move]
@@ -117,6 +182,7 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     first, second = images
     seen = bytearray(n**length)
     reps = []
+    rows = {}  # the permutations met in representatives, as tuples
     c = seen.find(0)
     while c >= 0:
         seen[c] = 1
@@ -136,7 +202,10 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
         rest = c
         for _ in range(length):
             rest, d = divmod(rest, n)
-            digits.append(perms[d])
+            row = rows.get(d)
+            if row is None:
+                row = rows[d] = tuple(table[d * degree : (d + 1) * degree])
+            digits.append(row)
         reps.append(tuple(reversed(digits)))
         c = seen.find(0, c + 1)
     return tuple(reps)

@@ -85,6 +85,15 @@ def test_subgroups_failure_prints_no_partial_table(capsys):
     assert err == "luinv: need rank >= 1 and index >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "rank,max_index", [("2", "0"), ("2", "-1"), ("0", "0"), ("-1", "4"), ("1", "-5")]
+)
+def test_subgroups_rejects_rank_or_index_below_one(capsys, rank, max_index):
+    code, out, err = run(capsys, "subgroups", "--rank", rank, "--max-index", max_index)
+    assert (code, out) == (2, "")
+    assert err == "luinv: need rank >= 1 and index >= 1\n"
+
+
 def test_orbits_value_and_bound(capsys):
     code, out, _ = run(capsys, "orbits", "--tuple-length", "2", "--m", "3")
     assert (code, out) == (0, "11\n")

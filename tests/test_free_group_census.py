@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import (
     EnumerationBoundError,
@@ -75,18 +79,20 @@ def test_enumeration_bound_check_is_cheap_for_huge_degree():
     assert time.perf_counter() - start < 1.0
 
 
+def _conjugate_by(s, tup):
+    """The simultaneous conjugate s p s^-1 of tup."""
+    images = []
+    for p in tup:
+        image = [0] * len(s)
+        for x, y in enumerate(p):
+            image[s[x]] = s[y]
+        images.append(tuple(image))
+    return tuple(images)
+
+
 def _conjugate_all(tup, degree):
     """Every simultaneous conjugate s p s^-1 of tup, over all s in S_degree."""
-    out = []
-    for s in itertools.permutations(range(degree)):
-        images = []
-        for p in tup:
-            image = [0] * degree
-            for x, y in enumerate(p):
-                image[s[x]] = s[y]
-            images.append(tuple(image))
-        out.append(tuple(images))
-    return out
+    return [_conjugate_by(s, tup) for s in itertools.permutations(range(degree))]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -153,13 +159,53 @@ def test_length_zero_lists_no_permutations(monkeypatch):
     def refuse(*args):
         raise AssertionError("permutations listed")
 
-    monkeypatch.setattr(free_group_census.itertools, "permutations", refuse)
+    monkeypatch.setattr(free_group_census, "_permutation_table", refuse)
     orbit_representatives.cache_clear()
     for degree in range(10):
         assert orbit_representatives(0, degree) == ((),)
         assert conjugation_orbit_count(0, degree) == 1
     with pytest.raises(EnumerationBoundError, match=r"3628800"):
         conjugation_orbit_count(0, 10)
+
+
+def _lehmer_unrank(index, degree):
+    """The index-th permutation of range(degree) in lexicographic order."""
+    items = list(range(degree))
+    out = []
+    for k in range(degree - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        out.append(items.pop(digit))
+    return tuple(out)
+
+
+def _lehmer_rank(perm):
+    """Position of perm in the lexicographic order of its symmetric group."""
+    degree = len(perm)
+    return sum(
+        sum(1 for y in perm[j + 1 :] if y < x) * math.factorial(degree - 1 - j)
+        for j, x in enumerate(perm)
+    )
+
+
+@lru_cache(maxsize=1)
+def _tables(degree):
+    return free_group_census._move_tables(degree)
+
+
+@pytest.mark.parametrize("degree", range(2, 10))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_move_tables_match_lehmer_oracle(degree, data):
+    table, moves = _tables(degree)
+    n = math.factorial(degree)
+    assert len(table) == n * degree and all(len(move) == n for move in moves)
+    generators = [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
+        perm = _lehmer_unrank(i, degree)
+        assert tuple(table[i * degree : (i + 1) * degree]) == perm
+        for s, move in zip(generators, moves):
+            (conjugate,) = _conjugate_by(s, (perm,))
+            assert move[i] == _lehmer_rank(conjugate)
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:
