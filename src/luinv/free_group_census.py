@@ -1,23 +1,28 @@
 """Brute-force orbit enumeration, the census oracle.
 
 One walk over permutation tuples finds a representative of every orbit of
-S_degree acting on them by simultaneous conjugation.  The orbit counts,
-the subgroup counts (its transitive orbits) and the columns of the
-numerical rank oracle all come from it, one memoized walk per (length,
-degree).  It deliberately avoids the centralizer-order formula and
-Burnside counting, so that its results are independent of the identities
-they are used to verify.
+S_degree acting on them by simultaneous conjugation, the least tuple of
+the orbit.  It goes one coordinate at a time: the conjugacy classes for
+the first, then the orbits of the stabilizer of each prefix for the next,
+with every stabilizer found by filtering group elements, so its work
+follows the number of orbits rather than the degree!^length tuples.  The
+orbit counts, the subgroup counts (its transitive orbits) and the columns
+of the numerical rank oracle all come from it, one memoized walk per
+(length, degree).  It deliberately uses no closed formula for class or
+orbit counts, only group elements conjugated and compared, so that its
+results are independent of the identities they are used to verify.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from .errors import EnumerationBoundError
 
-# Largest number of raw tuples we are willing to walk through.  Covers the
-# documented practical bounds (degree 5 for two generators, degree 4 for
-# three) with room to spare.
+# Largest number of raw tuples degree!^max(length, 1) admitted to the walk,
+# which visits far fewer.  Covers the documented practical bounds (degree 5
+# for two generators, degree 4 for three) with room to spare.
 MAX_TUPLES = 500_000
 
 Perm = tuple[int, ...]
@@ -118,71 +123,34 @@ def _keys(table: bytes | bytearray, degree: int) -> list[int]:
     return memoryview(packed).cast("Q").tolist()
 
 
+def _conjugation(table: bytes, degree: int) -> Callable[[bytes], list[int]]:
+    """The function taking a permutation s, as bytes, to the list whose
+    i-th entry is the position in the table of s p s^-1, p the table's
+    i-th permutation: one dict keyed by the permutations packed into ints
+    ranks the conjugates."""
+    position = dict(zip(_keys(table, degree), range(len(table) // degree)))
+    return lambda s: list(map(position.__getitem__, _keys(_conjugate_table(table, s), degree)))
+
+
 def _move_tables(degree: int) -> tuple[bytes, list[list[int]]]:
     """The permutation table of S_degree and, for each generator s of
     (0 1) and the degree-cycle, the list whose i-th entry is the position
     in the table of s p s^-1, p its i-th permutation."""
     table = _permutation_table(degree)
-    position = dict(zip(_keys(table, degree), range(len(table) // degree)))
+    conjugation = _conjugation(table, degree)
     transposition = bytes((1, 0)) + bytes(range(2, degree))
     cycle = bytes(range(1, degree)) + bytes(1)
-    moves = [
-        list(map(position.__getitem__, _keys(_conjugate_table(table, s), degree)))
-        for s in (transposition, cycle)
-    ]
-    return table, moves
+    return table, [conjugation(s) for s in (transposition, cycle)]
 
 
-@lru_cache(maxsize=16)
-def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], ...]:
-    """One tuple of `length` permutations of range(degree) per orbit of
-    S_degree acting by simultaneous conjugation: the lexicographic minimum
-    of its orbit, in increasing order.
-
-    The degree! permutations are one bytes table in lexicographic order,
-    degree bytes each, and a tuple is held as its code, the integer whose
-    base-degree! digits are the positions of its entries in that table,
-    so codes increase in lexicographic order of tuples.  The transposition
-    (0 1) and the degree-cycle generate S_degree; conjugating by each is
-    tabulated once over the table (a translate and degree stride slice
-    assignments conjugate every permutation at once, and one dict keyed by
-    the permutations packed into ints ranks the results), then expanded
-    into an image list over all degree!^length codes (at length 1 the move
-    table is the list).  The walk takes the smallest code not marked in a
-    bytearray of degree!^length flags as a representative, and marks its
-    orbit by pushing and popping codes through the two image lists; a
-    permutation tuple is built only for each representative.  Walks past
-    MAX_TUPLES tuples are refused; callers may check a tighter bound
-    first.  Length 0 and degrees below 2 have one orbit and are answered
-    without a walk.
-
-    The two image lists hold 2 * degree!^length ints; no tuple is built
-    per permutation.  Walks at (length, degree) = (2, 5), (3, 4), (1, 8)
-    and (5, 3) take about 4, 4, 30 and 5 ms (best of seven with fresh
-    tables, median of seven processes), against 5, 6, 55 and 4 ms when
-    the move tables hashed a tuple per permutation (the small sizes differ
-    by less than their spread) and 27, 36, 230 and 21 ms for a walk that
-    conjugated tuples entry by entry in Python (2-core host, Python 3.11).
-    At (1, 9) the walk takes about 0.7 s and peaks at 87 MiB, against
-    1.1 s and 101 MiB with hashed tuples.  Subgroup and orbit counts at one
-    (length, degree) share the walk, so each size is walked once per
-    process.
-    """
-    check_tuple_bound(degree, length, MAX_TUPLES)
-    if length == 0 or degree < 2:
-        return ((tuple(range(degree)),) * length,)
-    table, moves = _move_tables(degree)
-    n = len(table) // degree
-    images = []
-    for move in moves:
-        image = move
-        for _ in range(length - 1):
-            image = [x * n + y for x in image for y in move]
-        images.append(image)
-    first, second = images
-    seen = bytearray(n**length)
-    reps = []
-    rows = {}  # the permutations met in representatives, as tuples
+def _class_minima(moves: list[list[int]]) -> list[int]:
+    """Positions in the table of the lexicographic minimum of every
+    conjugacy class, in increasing order: the smallest position not yet
+    marked in a bytearray of flags starts a class, which is marked by
+    pushing and popping positions through the two move tables."""
+    first, second = moves
+    seen = bytearray(len(first))
+    minima = []
     c = seen.find(0)
     while c >= 0:
         seen[c] = 1
@@ -198,17 +166,103 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
             if not seen[y]:
                 seen[y] = 1
                 push(y)
-        digits = []
-        rest = c
-        for _ in range(length):
-            rest, d = divmod(rest, n)
-            row = rows.get(d)
-            if row is None:
-                row = rows[d] = tuple(table[d * degree : (d + 1) * degree])
-            digits.append(row)
-        reps.append(tuple(reversed(digits)))
+        minima.append(c)
         c = seen.find(0, c + 1)
-    return tuple(reps)
+    return minima
+
+
+@lru_cache(maxsize=16)
+def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], ...]:
+    """One tuple of `length` permutations of range(degree) per orbit of
+    S_degree acting by simultaneous conjugation: the lexicographic minimum
+    of its orbit, in increasing order.
+
+    The degree! permutations are one bytes table in lexicographic order,
+    degree bytes each, and a permutation is named by its position there.
+    A tuple is the minimum of its orbit exactly when its first entry is
+    the minimum of its conjugacy class and each further entry is the
+    minimum of its orbit under the stabilizer of the entries before it,
+    the permutations that commute with all of them.  The class minima come
+    from a walk over the table: the transposition (0 1) and the
+    degree-cycle generate S_degree, conjugating by each is tabulated once
+    (a translate and degree stride slice assignments conjugate every
+    permutation at once, and one dict keyed by the permutations packed
+    into ints ranks the results), and the smallest unmarked position is
+    taken as a minimum and its class marked through the two tables.  The
+    stabilizer of a class minimum c is found by filtering all degree!
+    permutations, those h with c h c^-1 = h.  Each further coordinate is
+    split under the stabilizer H of its prefix by scanning the positions
+    in increasing order: an unmarked x is the minimum of its H-orbit
+    {h x h^-1}, which is marked, and the stabilizer of the longer prefix
+    is the h in H with h x h^-1 = x.  Distinct stabilizers are few, so
+    each split is memoized by H within one call.  Prefixes are extended
+    level by level, parents in order and children in increasing x, so the
+    output comes out sorted.  No tuple outside an orbit minimum is
+    visited, and no cycle type or counting formula is used.
+    A negative length or degree raises ValueError; inputs past MAX_TUPLES
+    raw tuples degree!^max(length, 1) are refused after that check, and
+    callers may check a tighter bound first.  Length 0 and degrees below 2
+    have one orbit and are answered without listing permutations.
+
+    Walks at (length, degree) = (2, 5), (3, 4), (4, 4) and (5, 3) take
+    about 1.2, 0.6, 3 and 0.4 ms, against 3.7, 4.3, 170 and 4.3 ms for a
+    walk that marked all degree!^length tuples through image lists of
+    codes (best of seven in one process, 2-core host, Python 3.11).
+    Length 1 is the class walk alone: about 30 ms at (1, 8) and 0.7 s at
+    (1, 9).  Subgroup and orbit counts at one (length, degree) share the
+    walk, so each size is walked once per process.
+    """
+    if length < 0 or degree < 0:
+        raise ValueError("need length >= 0 and degree >= 0")
+    check_tuple_bound(degree, length, MAX_TUPLES)
+    if length == 0 or degree < 2:
+        return ((tuple(range(degree)),) * length,)
+    table, moves = _move_tables(degree)
+    minima = _class_minima(moves)
+    if length == 1:
+        return tuple((tuple(table[c * degree : (c + 1) * degree]),) for c in minima)
+    n = len(table) // degree
+    perms = [tuple(table[i * degree : (i + 1) * degree]) for i in range(n)]
+    conjugation = _conjugation(table, degree)
+    rows = {}  # h -> the position of h x h^-1 for each position x
+
+    def row(h: int) -> list[int]:
+        got = rows.get(h)
+        if got is None:
+            got = rows[h] = conjugation(table[h * degree : (h + 1) * degree])
+        return got
+
+    def decompose(group: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(x, its stabilizer in group) for the minimum x of each orbit of
+        group, in increasing order."""
+        images_of = [row(h) for h in group]
+        seen = bytearray(n)
+        parts = []
+        x = 0
+        while x >= 0:
+            images = [r[x] for r in images_of]
+            for y in images:
+                seen[y] = 1
+            parts.append((x, tuple(h for h, y in zip(group, images) if y == x)))
+            x = seen.find(0, x + 1)
+        return parts
+
+    # Under all of S_degree the orbits are the conjugacy classes.
+    everything = tuple(range(n))
+    splits = {everything: [(c, tuple(h for h, y in enumerate(row(c)) if y == h)) for c in minima]}
+    level = [((), everything)]
+    for depth in range(1, length + 1):
+        grown = []
+        for prefix, group in level:
+            parts = splits.get(group)
+            if parts is None:
+                parts = splits[group] = decompose(group)
+            if depth < length:
+                grown.extend([(prefix + (perms[x],), sub) for x, sub in parts])
+            else:
+                grown.extend([prefix + (perms[x],) for x, _ in parts])
+        level = grown
+    return tuple(level)
 
 
 def count_subgroup_classes(rank: int, index: int) -> int:

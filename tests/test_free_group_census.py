@@ -168,6 +168,83 @@ def test_length_zero_lists_no_permutations(monkeypatch):
         conjugation_orbit_count(0, 10)
 
 
+def _full_walk_representatives(length, degree):
+    """Orbit minima by walking every one of the degree!^length tuples, for
+    length >= 1 and degree >= 2.
+
+    A tuple is its code, the integer whose base-degree! digits are the
+    positions of its entries in the module's permutation table, so codes
+    increase in lexicographic order of tuples.  Each move table, extended
+    digit by digit, maps every code to the code of its conjugate by (0 1)
+    or the degree-cycle; the smallest unmarked code is an orbit minimum,
+    and its orbit is marked by pushing and popping codes through them.
+    """
+    table, moves = free_group_census._move_tables(degree)
+    n = len(table) // degree
+    perms = [tuple(table[i * degree : (i + 1) * degree]) for i in range(n)]
+    images = []
+    for move in moves:
+        image = move
+        for _ in range(length - 1):
+            image = [x * n + y for x in image for y in move]
+        images.append(image)
+    seen = bytearray(n**length)
+    reps = []
+    c = seen.find(0)
+    while c >= 0:
+        seen[c] = 1
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        digits = []
+        rest = c
+        for _ in range(length):
+            rest, d = divmod(rest, n)
+            digits.append(perms[d])
+        reps.append(tuple(reversed(digits)))
+        c = seen.find(0, c + 1)
+    return tuple(reps)
+
+
+# Every walkable size with at most 50,000 raw tuples, plus (4, 4).
+_FULL_WALK_SIZES = [
+    (length, degree)
+    for degree in range(2, 9)
+    for length in range(1, 16)
+    if math.factorial(degree) ** length <= 50_000
+] + [(4, 4)]
+
+
+@pytest.mark.parametrize("length,degree", _FULL_WALK_SIZES)
+def test_matches_full_walk(length, degree):
+    assert orbit_representatives(length, degree) == _full_walk_representatives(length, degree)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda degree: st.tuples(
+            st.just(degree),
+            st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=4).map(tuple),
+        )
+    )
+)
+def test_every_tuple_has_its_orbit_minimum_listed(drawn):
+    degree, tup = drawn
+    assert min(_conjugate_all(tup, degree)) in orbit_representatives(len(tup), degree)
+
+
+@pytest.mark.parametrize("length,degree", [(2, -1), (-1, 3), (-1, -1), (-1, 10**6), (0, -5)])
+def test_negative_length_or_degree_is_rejected(length, degree):
+    with pytest.raises(ValueError, match="need length >= 0 and degree >= 0"):
+        orbit_representatives(length, degree)
+
+
 def _lehmer_unrank(index, degree):
     """The index-th permutation of range(degree) in lexicographic order."""
     items = list(range(degree))
