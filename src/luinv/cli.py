@@ -33,10 +33,10 @@ def _fmt(value: float) -> str:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(tok) for tok in text.split(",") if tok != "")
+        dims = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad dimension list {text!r}") from exc
-    if not dims or any(n < 1 for n in dims):
+    if any(n < 1 for n in dims):
         raise ValueError(f"bad dimension list {text!r}")
     return dims
 

@@ -41,6 +41,14 @@ def test_dims_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["2,,2", "2,2,", ",2", ",", ""])
+@pytest.mark.parametrize("command", [("dims",), ("rank-oracle", "--seed", "1")], ids=["dims", "rank-oracle"])
+def test_empty_dimension_entries_exit_2(capsys, command, text):
+    code, out, err = run(capsys, *command, "--local-dims", text, "--m", "2")
+    assert (code, out) == (2, "")
+    assert f"bad dimension list {text!r}" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["dims", "--bogus"])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -283,6 +284,47 @@ def test_move_tables_match_lehmer_oracle(degree, data):
         for s, move in zip(generators, moves):
             (conjugate,) = _conjugate_by(s, (perm,))
             assert move[i] == _lehmer_rank(conjugate)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 9).flatmap(
+        lambda degree: st.tuples(
+            st.permutations(range(degree)),
+            st.lists(st.permutations(range(degree)), min_size=1, max_size=12),
+        )
+    )
+)
+def test_ranks_match_lehmer_oracle(drawn):
+    s, perms = drawn
+    degree = len(s)
+    packed = bytes(x for p in perms for x in p)
+    assert list(free_group_census._ranks(packed, degree)) == [_lehmer_rank(p) for p in perms]
+    conjugated = free_group_census._conjugate_table(packed, bytes(s))
+    assert isinstance(conjugated, bytearray)
+    expected = [_lehmer_rank(p) for p in _conjugate_by(s, perms)]
+    assert list(free_group_census._ranks(conjugated, degree)) == expected
+
+
+def test_ranks_at_degree_one_and_ten():
+    assert list(free_group_census._ranks(bytes(1), 1)) == [0]
+    assert list(free_group_census._ranks(bytes(5), 1)) == [0] * 5
+    with pytest.raises(ValueError, match="degree <= 9"):
+        free_group_census._ranks(bytes(range(10)), 10)
+
+
+def test_class_walk_memory_peak():
+    # Ranks in 4-byte lanes keep the traced peak of the (1, 8) walk near
+    # 1.5 MiB; an int and a dict entry per permutation take about 6.5 MiB.
+    orbit_representatives.cache_clear()
+    tracemalloc.start()
+    try:
+        reps = orbit_representatives(1, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == len(partitions_of(8))
+    assert peak <= 3 * 2**20
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:
