@@ -215,8 +215,8 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     have one orbit and are answered without listing permutations.
 
     Walks at (length, degree) = (2, 5), (3, 4), (4, 4) and (5, 3) take
-    about 1.2, 0.6, 3 and 0.4 ms, against 3.7, 4.3, 170 and 4.3 ms for a
-    walk that marked all degree!^length tuples through image lists of
+    about 1.2, 0.7, 3.5 and 0.65 ms, against 3.7, 4.3, 170 and 4.3 ms for
+    a walk that marked all degree!^length tuples through image lists of
     codes (best of seven in one process, 2-core host, Python 3.11).
     Length 1 is the class walk alone: 20 ms (tracemalloc peak 1.5 MiB) at
     (1, 8) and 0.3 s at (1, 9).  Subgroup and orbit counts at one (length,

@@ -4,15 +4,16 @@
         --seeds 1-10 --seconds 55 --claimed library:peak_rss_mib \\
         --change-note "what the change does" --trace-seed 81 --tier1
 
-For every workload and seed, `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` runs once from the root of each checkout, one after
-the other: the parent first for odd seeds, the change first for even ones,
-so that drift of a shared host does not favour one side.  Each run's last
-stdout line is its result.  The file holds every pair and, per end-to-end
-metric, both sides' medians and inclusive quartiles (statistics.quantiles),
-the number of pairs in which the change was lower, and the change of the
-median relative to the parent's.  With --trace-seed, one traced library run
-per side (--trace 1) is added; with --tier1, one Tier-1 pytest run per side.
+For each workload, library and cli, and every seed, `python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0` runs once from the root of each
+checkout, one after the other: the parent first for odd seeds, the change
+first for even ones, so that drift of a shared host does not favour one
+side.  Each run's last stdout line is its result.  The file holds every pair
+and, per end-to-end metric, both sides' medians and inclusive quartiles
+(statistics.quantiles), the number of pairs in which the change was lower,
+and the change of the median relative to the parent's.  With --trace-seed,
+one traced 30-s library run per side (--trace 1) is added; with --tier1, one
+Tier-1 pytest run per side.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+WORKLOADS = ("library", "cli")
+TRACE_SECONDS = 30
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -103,13 +106,11 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="root of the changed checkout")
     parser.add_argument("--pr", required=True, help="suffix of the output file, BENCH_<pr>.json")
     parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json is written")
-    parser.add_argument("--workloads", nargs="+", default=["library", "cli"])
     parser.add_argument("--seeds", required=True, type=seed_range, help="first-last, e.g. 1-10")
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--claimed", help="workload:metric the change claims to improve")
     parser.add_argument("--change-note", default="", help="one line saying what the change does")
     parser.add_argument("--trace-seed", type=int, help="add one traced library run per side")
-    parser.add_argument("--trace-seconds", type=float, default=30)
     parser.add_argument("--tier1", action="store_true", help="add one Tier-1 pytest run per side")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -120,7 +121,7 @@ def main() -> int:
     out = {
         "change": args.change_note,
         "command": (
-            f"python3 perfbench/run.py --workload <{'|'.join(args.workloads)}> --seed <seed> "
+            f"python3 perfbench/run.py --workload <{'|'.join(WORKLOADS)}> --seed <seed> "
             f"--seconds {args.seconds:g} --trace 0"
         ),
         "run_seconds": args.seconds,
@@ -135,7 +136,7 @@ def main() -> int:
         workload, _, metric = args.claimed.partition(":")
         out["claimed"] = {"workload": workload, "metric": metric}
     out["workloads"] = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         pairs = []
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -147,7 +148,7 @@ def main() -> int:
         metrics = [k for k in pairs[0]["parent"] if k not in ("correct", "attempted", "failed")]
         out["workloads"][workload] = {"seeds": args.seeds, "pairs": pairs, "summary": summarize(pairs, metrics)}
     if args.trace_seed is not None:
-        argv = bench_argv("library", args.trace_seed, args.trace_seconds, 1)
+        argv = bench_argv("library", args.trace_seed, TRACE_SECONDS, 1)
         traced = {"command": " ".join(["python3", *argv[1:]]), "first": "parent"}
         for side in SIDES:
             log(f"traced library: {side}")
