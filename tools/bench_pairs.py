@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 12 \\
         --seeds 1-10 --seconds 55 --claimed library:peak_rss_mib \\
-        --change-note "what the change does" --trace-seed 81 --tier1
+        --change-note "what the change does" --trace-seed 81
 
 For each workload, library and cli, and every seed, `python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0` runs once from the root of each
@@ -11,9 +11,9 @@ first for even ones, so that drift of a shared host does not favour one
 side.  Each run's last stdout line is its result.  The file holds every pair
 and, per end-to-end metric, both sides' medians and inclusive quartiles
 (statistics.quantiles), the number of pairs in which the change was lower,
-and the change of the median relative to the parent's.  With --trace-seed,
-one traced 30-s library run per side (--trace 1) is added; with --tier1, one
-Tier-1 pytest run per side.
+and the change of the median relative to the parent's, then one traced 30-s
+library run per side (--trace 1, seed --trace-seed) and one Tier-1 pytest run
+per side.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--claimed", help="workload:metric the change claims to improve")
     parser.add_argument("--change-note", default="", help="one line saying what the change does")
-    parser.add_argument("--trace-seed", type=int, help="add one traced library run per side")
-    parser.add_argument("--tier1", action="store_true", help="add one Tier-1 pytest run per side")
+    parser.add_argument("--trace-seed", required=True, type=int, help="seed of the traced library runs")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for side, root in roots.items():
@@ -147,19 +146,17 @@ def main() -> int:
             pairs.append(pair)
         metrics = [k for k in pairs[0]["parent"] if k not in ("correct", "attempted", "failed")]
         out["workloads"][workload] = {"seeds": args.seeds, "pairs": pairs, "summary": summarize(pairs, metrics)}
-    if args.trace_seed is not None:
-        argv = bench_argv("library", args.trace_seed, TRACE_SECONDS, 1)
-        traced = {"command": " ".join(["python3", *argv[1:]]), "first": "parent"}
-        for side in SIDES:
-            log(f"traced library: {side}")
-            traced[side] = run_bench(roots[side], argv)
-        out["traced"] = traced
-    if args.tier1:
-        tier1 = {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"}
-        for side in SIDES:
-            log(f"tier-1: {side}")
-            tier1[side] = run_tier1(roots[side])
-        out["tier1"] = tier1
+    argv = bench_argv("library", args.trace_seed, TRACE_SECONDS, 1)
+    traced = {"command": " ".join(["python3", *argv[1:]]), "first": "parent"}
+    for side in SIDES:
+        log(f"traced library: {side}")
+        traced[side] = run_bench(roots[side], argv)
+    out["traced"] = traced
+    tier1 = {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"}
+    for side in SIDES:
+        log(f"tier-1: {side}")
+        tier1[side] = run_tier1(roots[side])
+    out["tier1"] = tier1
     path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=2)
