@@ -22,7 +22,6 @@ from .combinatorics import (
 )
 from .characters import (
     ClassFunction,
-    conjugation_character,
     inner_product,
     irreducible_character,
     trivial_character,
@@ -52,7 +51,6 @@ _NUMPY_TIER = {
     "invariants": (
         "InvariantVector",
         "eta",
-        "higher_basis_vector",
         "higher_invariant",
         "i_from_j",
         "invariant_I",
@@ -65,18 +63,11 @@ _NUMPY_TIER = {
     "states": (
         "DensityMatrix",
         "PureState",
-        "apply_local_unitaries",
-        "bell_state",
         "ghz_state",
         "invariant_space_rank",
         "partial_trace",
-        "permutation_contraction",
-        "product_state",
         "projector",
-        "purify",
-        "random_density_matrix",
         "random_pure_state",
-        "random_unitary",
         "read_state_file",
         "write_state_file",
     ),

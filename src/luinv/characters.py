@@ -173,11 +173,3 @@ def _square_sum(m: int, rows: int) -> tuple[int, ...]:
         sum(v * v for mask, v in column.items() if mask.bit_count() <= rows)
         for column in _columns(m)
     )
-
-
-def conjugation_character(m: int) -> ClassFunction:
-    """sum over lam of chi_lam^2: the character of S_m acting on its own
-    group algebra by conjugation; its value at a class is the centralizer
-    order z(lam)."""
-    return ClassFunction(m, _square_sum(m, m))
-

@@ -42,7 +42,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _parse_subset(text: str, k: int) -> SubsetMask:
-    members = [int(tok) for tok in text.split(",") if tok != ""]
+    """Comma-separated distinct labels; the empty string is the empty subset."""
+    if text == "":
+        return SubsetMask.of(k)
+    try:
+        members = [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad subset list {text!r}") from exc
+    if len(set(members)) != len(members):
+        raise ValueError(f"bad subset list {text!r}")
     return SubsetMask.of(k, members)
 
 

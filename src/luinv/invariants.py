@@ -8,7 +8,7 @@ chi(sigma) sigma permutes the m copies of subsystem j, chi the sign for j
 in A and 1 otherwise: one signed sum of axis transposes per subsystem
 but the last, whose projector the others already imply.  It equals the
 squared projection of psi^m onto the span of the explicit basis vectors
-higher_basis_vector, which tests use as its oracle.
+that tests build as its oracle (higher_basis_vector in tests/oracles.py).
 
 The subset-parity transform is a Walsh-Hadamard transform over the 2^k
 subsets.  One helper computes it by butterflies; it serves j_from_i and
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,13 +44,12 @@ __all__ = [
     "i_from_j",
     "eta",
     "meyer_wallach",
-    "higher_basis_vector",
     "higher_invariant",
 ]
 
 # Largest work count of higher_invariant (k * m! * n^m, one more projector
-# than it writes; five qubits at m = 3 fit) and of higher_basis_vector
-# ((m!)^(k+1), and its n^m entries).
+# than it writes; five qubits at m = 3 fit) and of the basis-vector oracle
+# higher_basis_vector in tests/oracles.py ((m!)^(k+1), and its n^m entries).
 HIGHER_WORK_BOUND = 10**6
 # Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
 # entries, that the I-family kernel builds: eight qubits fit.
@@ -242,74 +241,6 @@ def _check_work(factors: Iterable[int], what: str) -> None:
             )
 
 
-def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
-    flat = 0
-    for i, n in zip(indices, dims):
-        flat = flat * n + i
-    return flat
-
-
-def higher_basis_vector(
-    dims: Sequence[int],
-    subset: SubsetMask,
-    m: int,
-    index_table: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Character-weighted sum over one permutation per subsystem of
-    symmetrized products of m basis vectors, an element of the degree-m
-    symmetric subspace realized inside the m-fold tensor power.
-
-    index_table has one length-m row per subsystem, weakly increasing off
-    the subset and strictly increasing on it; the subset must have even
-    size.  Distinct admissible tables give orthogonal vectors.  At m = 2
-    the squared norm is 2^(k+c), c the number of equal index pairs.
-
-    Refused before any allocation when the tensor's n^m entries, or its
-    (m!)^(k+1) writes (a permutation per subsystem and a symmetrizing
-    one), exceed HIGHER_WORK_BOUND.
-    """
-    dims = tuple(dims)
-    k = len(dims)
-    _require_subset(k, subset)
-    if len(subset) % 2:
-        raise ValueError("subset must have even size")
-    if m < 1:
-        raise ValueError("need m >= 1")
-    table = [tuple(row) for row in index_table]
-    if len(table) != k or any(len(row) != m for row in table):
-        raise ValueError(f"index table must be {k} rows of {m} entries")
-    for j, row in enumerate(table, start=1):
-        if any(i < 0 or i >= dims[j - 1] for i in row):
-            raise ValueError(f"row {row} out of range for subsystem {j}")
-        strict = j in subset
-        for a, b in zip(row, row[1:]):
-            if (b <= a) if strict else (b < a):
-                raise ValueError(f"row {row} not admissible for subsystem {j}")
-    n = math.prod(dims)
-    _check_work(
-        itertools.repeat(n, m), f"a basis vector at m={m}, total dimension {n}: n^m"
-    )
-    _check_work(
-        itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), k + 1)),
-        f"a basis vector at m={m}, k={k}: (m!)^(k+1)",
-    )
-    perms = list(itertools.permutations(range(m)))
-    weight = 1.0 / math.factorial(m)
-    out = np.zeros((n,) * m)
-    for pis in itertools.product(perms, repeat=k):
-        sign = 1.0
-        for j in range(1, k + 1):
-            if j in subset:
-                sign *= _perm_sign(pis[j - 1])
-        flats = [
-            _flat_index([table[j][pis[j][r]] for j in range(k)], dims)
-            for r in range(m)
-        ]
-        for sigma in perms:
-            out[tuple(flats[sigma[r]] for r in range(m))] += sign * weight
-    return out
-
-
 def _perm_sign(p: tuple[int, ...]) -> float:
     sign = 1.0
     for i in range(len(p)):
@@ -325,10 +256,10 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     (1/m!) sum over sigma in S_m of chi(sigma) sigma permutes the m copies
     of subsystem j, chi the sign on the subset's members and 1 elsewhere.
 
-    The admissible basis vectors of higher_basis_vector span the image of
-    Sym composed with the P_j; each P_j is central in the group algebra, so
-    it commutes with Sym, and psi^m is already symmetric.  At m = 2 this is
-    I_A.
+    The admissible basis vectors (the test oracle higher_basis_vector)
+    span the image of Sym composed with the P_j; each P_j is central in the
+    group algebra, so it commutes with Sym, and psi^m is already symmetric.
+    At m = 2 this is I_A.
 
     The projector of subsystem k is skipped: psi^m is fixed by permuting
     the copies of every subsystem at once, so sigma on subsystem k acts on

@@ -18,21 +18,21 @@ import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dimensions import stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError
-from .free_group_census import check_tuple_bound, orbit_representatives
+from .free_group_census import orbit_representatives
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
-PURIFY_CUTOFF = 1e-12
+# Most negative eigenvalue, relative to the largest, and excess trace that
+# DensityMatrix.validate_physical accepts.
+PHYSICAL_TOL = 1e-10
 RANK_TOL = 1e-8
-# Work bounds of the rank oracle: permutation tuples walked to find the
-# conjugation orbits, and rho entries gathered over all samples.
-ORBIT_TUPLE_BOUND = 50_000
+# Work bound of the rank oracle: rho entries gathered over all samples.
 RANK_GATHER_BOUND = 20_000_000
 # Largest projector psi psi* built, in matrix entries; eleven qubits fit.
 PROJECTOR_ENTRY_BOUND = 1 << 22
@@ -100,13 +100,14 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def validate_physical(self, tol: float = 1e-10) -> None:
-        """Check positive semidefiniteness and trace at most 1."""
+    def validate_physical(self) -> None:
+        """Check positive semidefiniteness and trace at most 1, within
+        PHYSICAL_TOL."""
         eigs = np.linalg.eigvalsh(self.entries)
         scale = max(1.0, float(eigs[-1]) if eigs.size else 1.0)
-        if eigs.size and eigs[0] < -tol * scale:
+        if eigs.size and eigs[0] < -PHYSICAL_TOL * scale:
             raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[0]}")
-        if self.trace() > 1.0 + tol:
+        if self.trace() > 1.0 + PHYSICAL_TOL:
             raise ValueError(f"trace {self.trace()} exceeds 1")
 
 
@@ -122,25 +123,16 @@ def projector(psi: PureState) -> DensityMatrix:
     return DensityMatrix(psi.dims, np.outer(psi.coeffs, psi.coeffs.conj()))
 
 
-def _traced_axes(rho: DensityMatrix, traced: SubsetMask | Iterable[int]) -> list[int]:
-    if isinstance(traced, SubsetMask):
-        if traced.k != rho.k:
-            raise ValueError(f"subset is over {traced.k} labels, state has {rho.k}")
-        labels = sorted(traced.members)
-    else:
-        labels = sorted(set(traced))
-    if any(j < 1 or j > rho.k for j in labels):
-        raise ValueError(f"subsystem labels {labels} out of range 1..{rho.k}")
-    return [j - 1 for j in labels]
-
-
-def partial_trace(rho: DensityMatrix, traced: SubsetMask | Iterable[int]) -> DensityMatrix:
-    """Trace out the subsystems listed in `traced`, keeping the rest.
+def partial_trace(rho: DensityMatrix, traced: SubsetMask) -> DensityMatrix:
+    """Trace out the subsystems in `traced`, a subset over the state's k
+    labels, keeping the rest.
 
     Tracing out nothing returns rho itself; tracing out everything returns
     the 1x1 matrix holding the trace.
     """
-    axes = _traced_axes(rho, traced)
+    if traced.k != rho.k:
+        raise ValueError(f"subset is over {traced.k} labels, state has {rho.k}")
+    axes = [j - 1 for j in traced]
     if not axes:
         return rho
     k = rho.k
@@ -160,25 +152,6 @@ def partial_trace(rho: DensityMatrix, traced: SubsetMask | Iterable[int]) -> Den
     return DensityMatrix(new_dims, reduced.reshape(side, side))
 
 
-def purify(rho: DensityMatrix) -> PureState:
-    """A pure state on system + environment whose environment trace is rho.
-
-    The environment is appended as the last subsystem with dimension equal
-    to the numerical rank of rho (eigenvalues above 1e-12).
-    """
-    vals, vecs = np.linalg.eigh(rho.entries)
-    scale = max(1.0, float(vals[-1]) if vals.size else 1.0)
-    if vals.size and vals[0] < -HERMITICITY_TOL * scale:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {vals[0]}")
-    order = np.argsort(-vals)
-    keep = [int(i) for i in order if vals[i] > PURIFY_CUTOFF]
-    if not keep:
-        raise ValueError("state has numerical rank 0, nothing to purify")
-    rank = len(keep)
-    columns = vecs[:, keep] * np.sqrt(vals[keep])
-    return PureState(rho.dims + (rank,), columns.reshape(-1))
-
-
 def random_pure_state(dims: Sequence[int], seed) -> PureState:
     """Unit-norm state with Haar-uniform direction, deterministic in seed."""
     rng = np.random.default_rng(seed)
@@ -187,98 +160,15 @@ def random_pure_state(dims: Sequence[int], seed) -> PureState:
     return PureState(tuple(dims), z / np.linalg.norm(z))
 
 
-def random_density_matrix(dims: Sequence[int], seed, rank: int | None = None) -> DensityMatrix:
-    """Trace-one random mixed state from a Ginibre factor of the given rank."""
-    rng = np.random.default_rng(seed)
-    n = math.prod(dims)
-    r = n if rank is None else rank
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    rho = g @ g.conj().T
-    return DensityMatrix(tuple(dims), rho / np.trace(rho).real)
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> PureState:
-    """Apply one unitary per subsystem."""
-    if len(unitaries) != psi.k:
-        raise ValueError("need one unitary per subsystem")
-    tensor = psi.tensor()
-    for axis, u in enumerate(unitaries):
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
-    return PureState(psi.dims, tensor.reshape(-1))
-
-
-def product_state(factors: Sequence[np.ndarray]) -> PureState:
-    """Tensor product of single-subsystem vectors."""
-    coeffs = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        coeffs = np.kron(coeffs, np.asarray(f, dtype=complex))
-    return PureState(tuple(len(f) for f in factors), coeffs)
-
-
-def ghz_state(k: int, local_dim: int = 2) -> PureState:
-    """(|0...0> + ... + |d-1...d-1>)/sqrt(d) on k subsystems."""
-    dims = (local_dim,) * k
-    tensor = np.zeros(dims, dtype=complex)
-    for level in range(local_dim):
-        tensor[(level,) * k] = 1.0 / math.sqrt(local_dim)
-    return PureState(dims, tensor.reshape(-1))
-
-
-def bell_state() -> PureState:
-    return ghz_state(2)
+def ghz_state(k: int) -> PureState:
+    """(|0...0> + |1...1>)/sqrt(2) on k qubits."""
+    tensor = np.zeros((2,) * k, dtype=complex)
+    tensor[(0,) * k] = tensor[(1,) * k] = 1.0 / math.sqrt(2)
+    return PureState((2,) * k, tensor.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
-# Permutation contractions and the numerical rank oracle
-
-
-def _check_perms(perms: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], ...]:
-    if len(perms) != k:
-        raise ValueError(f"need one permutation per subsystem, got {len(perms)} for k={k}")
-    tups = tuple(tuple(p) for p in perms)
-    if not tups:
-        return tups
-    m = len(tups[0])
-    for p in tups:
-        if sorted(p) != list(range(m)):
-            raise ValueError(f"not a permutation of range({m}): {p}")
-    return tups
-
-
-def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> complex:
-    """Contract m copies of psi against m copies of its conjugate, wiring
-    subsystem l of conjugate copy j to copy perms[l][j].
-
-    With every permutation equal to the identity this is the m-th power of
-    the squared norm; over all tuples of permutations these values span the
-    degree-(m, m) local-unitary invariants.
-    """
-    tups = _check_perms(perms, psi.k)
-    if not tups:
-        raise ValueError("state must have at least one subsystem")
-    m = len(tups[0])
-    if m == 0:
-        return 1.0 + 0.0j
-    k = psi.k
-    if m * k > len(_LETTERS):
-        raise ValueError("contraction too large for the index alphabet")
-    letter = [[_LETTERS[j * k + l] for l in range(k)] for j in range(m)]
-    subs = []
-    for j in range(m):
-        subs.append("".join(letter[j]))
-    for j in range(m):
-        subs.append("".join(letter[tups[l][j]][l] for l in range(k)))
-    tensor = psi.tensor()
-    operands = [tensor] * m + [tensor.conj()] * m
-    return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+# The numerical rank oracle
 
 
 @lru_cache(maxsize=16)
@@ -326,18 +216,17 @@ def invariant_space_rank(
     census walk (free_group_census.orbit_representatives); there are
     stable_dimension(k+1, m) of them, which is checked.
     The default sample count is three per column and at least one per
-    column is required.  Walking S_m^k is refused past ORBIT_TUPLE_BOUND
-    tuples and the gathers past RANK_GATHER_BOUND entries, before any
-    sampling.  Singular values above 1e-8 of the largest count toward the
+    column is required.  The census walk refuses past its raw-tuple bound
+    free_group_census.MAX_TUPLES, m!^max(k, 1), and the gathers are
+    refused past RANK_GATHER_BOUND entries, before any sampling.  Singular values above 1e-8 of the largest count toward the
     rank.
     """
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")
     k = len(sys_dims)
-    check_tuple_bound(m, k, ORBIT_TUPLE_BOUND)
-    expected = stable_dimension(k + 1, m)
     n_orbits = len(orbit_representatives(k, m))
+    expected = stable_dimension(k + 1, m)
     if n_orbits != expected:
         raise ConsistencyError(
             f"{n_orbits} conjugation orbits, stable_dimension gives {expected}"

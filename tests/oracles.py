@@ -1,0 +1,193 @@
+"""Test-side oracles and state builders that the package itself does not use.
+
+Each is an independent route to a quantity the package computes another
+way, or a way to build test states:
+
+- higher_basis_vector: the explicit symmetric/alternating basis vectors
+  whose span higher_invariant projects onto;
+- permutation_contraction: one einsum per permutation tuple, against which
+  the rank oracle's gathered orbit columns are checked;
+- purify: a system+environment pure state whose environment trace is a
+  given density matrix;
+- random_unitary, apply_local_unitaries, product_state and
+  random_density_matrix: seeded test states and local rotations.
+
+Tests import this module by name, with the tests directory on sys.path.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Sequence
+
+import numpy as np
+
+from luinv import DensityMatrix, PureState, SubsetMask
+from luinv.invariants import _check_work, _perm_sign, _require_subset
+from luinv.states import _LETTERS, HERMITICITY_TOL
+
+PURIFY_CUTOFF = 1e-12
+
+
+def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
+    flat = 0
+    for i, n in zip(indices, dims):
+        flat = flat * n + i
+    return flat
+
+
+def higher_basis_vector(
+    dims: Sequence[int],
+    subset: SubsetMask,
+    m: int,
+    index_table: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Character-weighted sum over one permutation per subsystem of
+    symmetrized products of m basis vectors, an element of the degree-m
+    symmetric subspace realized inside the m-fold tensor power.
+
+    index_table has one length-m row per subsystem, weakly increasing off
+    the subset and strictly increasing on it; the subset must have even
+    size.  Distinct admissible tables give orthogonal vectors.  At m = 2
+    the squared norm is 2^(k+c), c the number of equal index pairs.
+
+    Refused before any allocation when the tensor's n^m entries, or its
+    (m!)^(k+1) writes (a permutation per subsystem and a symmetrizing
+    one), exceed HIGHER_WORK_BOUND.
+    """
+    dims = tuple(dims)
+    k = len(dims)
+    _require_subset(k, subset)
+    if len(subset) % 2:
+        raise ValueError("subset must have even size")
+    if m < 1:
+        raise ValueError("need m >= 1")
+    table = [tuple(row) for row in index_table]
+    if len(table) != k or any(len(row) != m for row in table):
+        raise ValueError(f"index table must be {k} rows of {m} entries")
+    for j, row in enumerate(table, start=1):
+        if any(i < 0 or i >= dims[j - 1] for i in row):
+            raise ValueError(f"row {row} out of range for subsystem {j}")
+        strict = j in subset
+        for a, b in zip(row, row[1:]):
+            if (b <= a) if strict else (b < a):
+                raise ValueError(f"row {row} not admissible for subsystem {j}")
+    n = math.prod(dims)
+    _check_work(
+        itertools.repeat(n, m), f"a basis vector at m={m}, total dimension {n}: n^m"
+    )
+    _check_work(
+        itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), k + 1)),
+        f"a basis vector at m={m}, k={k}: (m!)^(k+1)",
+    )
+    perms = list(itertools.permutations(range(m)))
+    weight = 1.0 / math.factorial(m)
+    out = np.zeros((n,) * m)
+    for pis in itertools.product(perms, repeat=k):
+        sign = 1.0
+        for j in range(1, k + 1):
+            if j in subset:
+                sign *= _perm_sign(pis[j - 1])
+        flats = [
+            _flat_index([table[j][pis[j][r]] for j in range(k)], dims)
+            for r in range(m)
+        ]
+        for sigma in perms:
+            out[tuple(flats[sigma[r]] for r in range(m))] += sign * weight
+    return out
+
+
+def _check_perms(perms: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], ...]:
+    if len(perms) != k:
+        raise ValueError(f"need one permutation per subsystem, got {len(perms)} for k={k}")
+    tups = tuple(tuple(p) for p in perms)
+    if not tups:
+        return tups
+    m = len(tups[0])
+    for p in tups:
+        if sorted(p) != list(range(m)):
+            raise ValueError(f"not a permutation of range({m}): {p}")
+    return tups
+
+
+def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> complex:
+    """Contract m copies of psi against m copies of its conjugate, wiring
+    subsystem l of conjugate copy j to copy perms[l][j].
+
+    With every permutation equal to the identity this is the m-th power of
+    the squared norm; over all tuples of permutations these values span the
+    degree-(m, m) local-unitary invariants.
+    """
+    tups = _check_perms(perms, psi.k)
+    if not tups:
+        raise ValueError("state must have at least one subsystem")
+    m = len(tups[0])
+    if m == 0:
+        return 1.0 + 0.0j
+    k = psi.k
+    if m * k > len(_LETTERS):
+        raise ValueError("contraction too large for the index alphabet")
+    letter = [[_LETTERS[j * k + l] for l in range(k)] for j in range(m)]
+    subs = []
+    for j in range(m):
+        subs.append("".join(letter[j]))
+    for j in range(m):
+        subs.append("".join(letter[tups[l][j]][l] for l in range(k)))
+    tensor = psi.tensor()
+    operands = [tensor] * m + [tensor.conj()] * m
+    return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+
+
+def purify(rho: DensityMatrix) -> PureState:
+    """A pure state on system + environment whose environment trace is rho.
+
+    The environment is appended as the last subsystem with dimension equal
+    to the numerical rank of rho (eigenvalues above 1e-12).
+    """
+    vals, vecs = np.linalg.eigh(rho.entries)
+    scale = max(1.0, float(vals[-1]) if vals.size else 1.0)
+    if vals.size and vals[0] < -HERMITICITY_TOL * scale:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {vals[0]}")
+    order = np.argsort(-vals)
+    keep = [int(i) for i in order if vals[i] > PURIFY_CUTOFF]
+    if not keep:
+        raise ValueError("state has numerical rank 0, nothing to purify")
+    rank = len(keep)
+    columns = vecs[:, keep] * np.sqrt(vals[keep])
+    return PureState(rho.dims + (rank,), columns.reshape(-1))
+
+
+def random_density_matrix(dims: Sequence[int], seed) -> DensityMatrix:
+    """Trace-one random mixed state from a square Ginibre factor."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return DensityMatrix(tuple(dims), rho / np.trace(rho).real)
+
+
+def random_unitary(n: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> PureState:
+    """Apply one unitary per subsystem."""
+    if len(unitaries) != psi.k:
+        raise ValueError("need one unitary per subsystem")
+    tensor = psi.tensor()
+    for axis, u in enumerate(unitaries):
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
+    return PureState(psi.dims, tensor.reshape(-1))
+
+
+def product_state(factors: Sequence[np.ndarray]) -> PureState:
+    """Tensor product of single-subsystem vectors."""
+    coeffs = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        coeffs = np.kron(coeffs, np.asarray(f, dtype=complex))
+    return PureState(tuple(len(f) for f in factors), coeffs)

@@ -5,6 +5,8 @@ verdict lines.
 """
 
 import itertools
+import os
+import sys
 import time
 
 import numpy as np
@@ -12,13 +14,11 @@ import numpy as np
 from luinv import (
     SubsetMask,
     all_subsets,
-    bell_state,
     conjugation_orbit_count,
     count_subgroup_classes,
     eta,
     free_generator_count,
     ghz_state,
-    higher_basis_vector,
     higher_invariant,
     i_from_j,
     invariant_I,
@@ -30,14 +30,20 @@ from luinv import (
     meyer_wallach,
     mixed_dimension,
     partial_trace,
-    product_state,
     projector,
-    purify,
-    random_density_matrix,
     random_pure_state,
     restricted_dimension,
     stable_dimension,
     stable_dimension_via_characters,
+)
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from oracles import (  # noqa: E402
+    higher_basis_vector,
+    product_state,
+    purify,
+    random_density_matrix,
 )
 
 
@@ -142,9 +148,9 @@ def test_criterion_07_proposition_transform():
             backward = np.array(i_from_j(jvec).values) - np.array(ivec.values)
             worst = max(worst, np.abs(forward).max(), np.abs(backward).max())
     bell_ok = np.allclose(
-        invariant_I_vector(bell_state()).values, (0.75, 0.0, 0.0, 0.25), atol=1e-12
+        invariant_I_vector(ghz_state(2)).values, (0.75, 0.0, 0.0, 0.25), atol=1e-12
     ) and np.allclose(
-        invariant_J_vector(projector(bell_state())).values,
+        invariant_J_vector(projector(ghz_state(2))).values,
         (1.0, 0.5, 0.5, 1.0),
         atol=1e-12,
     )
@@ -200,7 +206,7 @@ def test_criterion_10_purification():
         k = len(dims)
         rho = random_density_matrix(dims, seed=900 + i)
         psi = purify(rho)
-        back = partial_trace(projector(psi), [psi.k])
+        back = partial_trace(projector(psi), SubsetMask.of(psi.k, [psi.k]))
         ok = ok and np.abs(back.entries - rho.entries).max() < 1e-10
         pure_rho = projector(psi)
         for subset in all_subsets(k):
@@ -234,7 +240,7 @@ def test_criterion_11_entanglement_measures():
     )
     ok = ok and abs(purity_form - component_form) < 1e-9
     ok = ok and 0.0 <= meyer_wallach(psi) <= 2.0
-    ok = ok and abs(eta(projector(bell_state()), SubsetMask.of(2, [1])) - 1.0) < 1e-9
+    ok = ok and abs(eta(projector(ghz_state(2)), SubsetMask.of(2, [1])) - 1.0) < 1e-9
     _verdict(11, "Meyer-Wallach and eta anchors", ok, time.time() - start)
 
 

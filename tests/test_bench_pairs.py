@@ -1,0 +1,90 @@
+"""The pair runner's argument checks and its summaries, on canned input;
+no benchmark or pytest run is started."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", refuse)
+
+
+def test_seed_range():
+    assert bench_pairs.seed_range("1-10") == list(range(1, 11))
+    assert bench_pairs.seed_range("3-4") == [3, 4]
+    assert bench_pairs.seed_range("5") == [5]
+    assert bench_pairs.seed_range("10-1") == []
+
+
+@pytest.mark.parametrize("seeds", ["5", "10-1", "3-3"])
+def test_fewer_than_two_seeds_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, seeds):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    argv = [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--pr", "0", "--out-dir", str(tmp_path), "--seeds", seeds, "--trace-seed", "1",
+    ]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code == 2
+    assert "--seeds needs at least two seeds" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_summarize():
+    pairs = [
+        {"parent": {"wall_s": p}, "change": {"wall_s": c}}
+        for p, c in [(1.0, 0.5), (2.0, 2.5), (3.0, 1.5), (4.0, 3.5), (5.0, 4.5)]
+    ]
+    summary = bench_pairs.summarize(pairs, ["wall_s"])["wall_s"]
+    assert summary == {
+        "parent_median": 3.0,
+        "parent_quartiles": [2.0, 4.0],
+        "change_median": 2.5,
+        "change_quartiles": [1.5, 3.5],
+        "change_lower_in": "4/5",
+        "median_change": pytest.approx(-1 / 6),
+    }
+    zero = [{"parent": {"x": 0}, "change": {"x": 1}}] * 2
+    assert bench_pairs.summarize(zero, ["x"])["x"]["median_change"] is None
+
+
+@pytest.mark.parametrize(
+    "tail, counts",
+    [
+        ("418 passed in 11.36s", {"passed": 418}),
+        ("410 passed, 3 skipped in 9.80s", {"passed": 410, "skipped": 3}),
+        (
+            "2 failed, 400 passed, 1 skipped, 1 xfailed, 1 xpassed, 5 warnings, 1 error in 9.0s",
+            {"failed": 2, "passed": 400, "skipped": 1, "xfailed": 1, "xpassed": 1, "error": 1},
+        ),
+        ("3 errors in 0.50s", {"error": 3}),
+        ("", {}),
+    ],
+    ids=["passed", "skipped", "every-outcome", "errors", "empty"],
+)
+def test_tally_counts_every_outcome(tail, counts):
+    assert bench_pairs.tally(tail) == counts
+
+
+def test_tier1_record_counts_skipped_tests(monkeypatch):
+    def fake_run(argv, **kwargs):
+        assert argv == bench_pairs.TIER1
+        return subprocess.CompletedProcess(argv, 0, stdout="....s\n410 passed, 3 skipped in 9.80s\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    record = bench_pairs.run_tier1(".")
+    assert (record["tests"], record["passed"], record["exit_code"]) == (413, 410, 0)

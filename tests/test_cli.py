@@ -1,15 +1,15 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from luinv import (
-    DensityMatrix,
-    bell_state,
-    ghz_state,
-    random_density_matrix,
-    random_unitary,
-    write_state_file,
-)
+from luinv import DensityMatrix, ghz_state, write_state_file
 from luinv.cli import main
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from oracles import random_density_matrix, random_unitary  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -143,7 +143,7 @@ def test_eval_invariants(tmp_path, capsys):
     assert (code, out) == (0, "1.000000000\n")
 
     bell = tmp_path / "bell.state"
-    write_state_file(bell, bell_state())
+    write_state_file(bell, ghz_state(2))
     for subset, expected in [("", "0.750000000"), ("1,2", "0.250000000"), ("1", "0.000000000")]:
         code, out, _ = run(
             capsys, "eval", "--invariant", "I", "--state", str(bell), "--subset", subset
@@ -166,6 +166,17 @@ def test_eval_invariants(tmp_path, capsys):
         "2",
     )
     assert (code, out) == (0, "0.750000000\n")
+
+
+@pytest.mark.parametrize("text", ["1,,1", "1,", ",1", ",", "1,1", "x"])
+def test_malformed_subset_exits_2(tmp_path, capsys, text):
+    bell = tmp_path / "bell.state"
+    write_state_file(bell, ghz_state(2))
+    code, out, err = run(
+        capsys, "eval", "--invariant", "I", "--state", str(bell), "--subset", text
+    )
+    assert (code, out) == (2, "")
+    assert f"luinv: bad subset list {text!r}" in err
 
 
 def test_eval_mixed_state_J(tmp_path, capsys):
@@ -206,7 +217,7 @@ def test_eval_errors(tmp_path, capsys):
 
 def test_transform_output(tmp_path, capsys):
     bell = tmp_path / "bell.state"
-    write_state_file(bell, bell_state())
+    write_state_file(bell, ghz_state(2))
     code, out, _ = run(capsys, "transform", "--state", str(bell))
     assert code == 0
     lines = out.splitlines()
@@ -223,6 +234,11 @@ def test_rank_oracle(capsys):
         capsys, "rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "5"
     )
     assert (code, out) == (0, "4\n")
+    # One qubit at m = 9: 9! tuples walked, 30 columns; 5 = restricted_dimension((2,), 9).
+    code, out, _ = run(
+        capsys, "rank-oracle", "--local-dims", "2", "--m", "9", "--seed", "5"
+    )
+    assert (code, out) == (0, "5\n")
 
 
 def test_rank_oracle_sample_minimum_is_the_orbit_count(capsys):
@@ -267,7 +283,7 @@ def test_internal_assertion_exits_4(capsys, monkeypatch):
 
 def test_higher_bound_exits_3(tmp_path, capsys):
     path = tmp_path / "bell.state"
-    write_state_file(path, bell_state())
+    write_state_file(path, ghz_state(2))
     argv = ["eval", "--invariant", "higher", "--state", str(path), "--subset", ""]
     code, out, _ = run(capsys, *argv, "--m", "5")
     assert (code, out) == (0, "0.187500000\n")

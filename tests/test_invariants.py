@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +15,8 @@ from luinv import (
     PureState,
     SubsetMask,
     all_subsets,
-    apply_local_unitaries,
-    bell_state,
     eta,
     ghz_state,
-    higher_basis_vector,
     higher_invariant,
     i_from_j,
     invariant_I,
@@ -26,12 +25,19 @@ from luinv import (
     invariant_J_vector,
     j_from_i,
     meyer_wallach,
+    projector,
+    random_pure_state,
+)
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from oracles import (  # noqa: E402
+    apply_local_unitaries,
+    higher_basis_vector,
     permutation_contraction,
     product_state,
-    projector,
     purify,
     random_density_matrix,
-    random_pure_state,
     random_unitary,
 )
 
@@ -122,7 +128,7 @@ def _random_product_state(dims, seed):
 
 
 def test_invariant_I_bell():
-    bell = bell_state()
+    bell = ghz_state(2)
     for subset, expected in zip(all_subsets(2), BELL_I):
         assert invariant_I(bell, subset) == pytest.approx(expected, abs=1e-12)
 
@@ -186,7 +192,7 @@ def test_I_vector_refuses_large_states():
 
 
 def test_invariant_J_examples():
-    bell_rho = projector(bell_state())
+    bell_rho = projector(ghz_state(2))
     for subset, expected in zip(all_subsets(2), BELL_J):
         assert invariant_J(bell_rho, subset) == pytest.approx(expected, abs=1e-12)
     rho = random_density_matrix((2, 3), seed=8)
@@ -263,19 +269,19 @@ def test_transform_consistency_on_states():
 
 
 def test_eta_examples():
-    bell_rho = projector(bell_state())
+    bell_rho = projector(ghz_state(2))
     assert eta(bell_rho, SubsetMask.of(2, [1])) == pytest.approx(1.0, abs=1e-9)
     prod = projector(_random_product_state((2, 2, 2), seed=14))
     for subset in all_subsets(3):
         if 0 < len(subset) < 3:
             assert eta(prod, subset) == pytest.approx(0.0, abs=1e-9)
-    mixed = projector(bell_state())
+    mixed = projector(ghz_state(2))
     maximally_mixed = type(mixed)((2, 2), np.eye(4) / 4)
     assert eta(maximally_mixed, SubsetMask.of(2, [1])) == pytest.approx(1.0)
 
 
 def test_eta_rejects_empty_and_full():
-    rho = projector(bell_state())
+    rho = projector(ghz_state(2))
     with pytest.raises(ValueError):
         eta(rho, SubsetMask.of(2, []))
     with pytest.raises(ValueError):
@@ -290,11 +296,11 @@ def test_meyer_wallach_examples():
         assert meyer_wallach(ghz_state(k)) == pytest.approx(1.0, abs=1e-9)
         prod = _random_product_state((2,) * k, seed=15 + k)
         assert meyer_wallach(prod) == pytest.approx(0.0, abs=1e-9)
-    assert meyer_wallach(bell_state()) == pytest.approx(1.0, abs=1e-9)
+    assert meyer_wallach(ghz_state(2)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_meyer_wallach_requires_normalization():
-    psi = bell_state()
+    psi = ghz_state(2)
     doubled = type(psi)((2, 2), 2.0 * psi.coeffs)
     with pytest.raises(ValueError):
         meyer_wallach(doubled)

@@ -14,13 +14,11 @@ from luinv.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Every name `luinv` exported when all layers were imported eagerly, by
-# defining module.
+# Every name `luinv` exports, by defining module.
 PUBLIC_API = {
     "combinatorics": ["Partition", "centralizer_order", "partitions_of"],
     "characters": [
         "ClassFunction",
-        "conjugation_character",
         "inner_product",
         "irreducible_character",
         "trivial_character",
@@ -36,7 +34,6 @@ PUBLIC_API = {
     "invariants": [
         "InvariantVector",
         "eta",
-        "higher_basis_vector",
         "higher_invariant",
         "i_from_j",
         "invariant_I",
@@ -57,23 +54,31 @@ PUBLIC_API = {
     "states": [
         "DensityMatrix",
         "PureState",
-        "apply_local_unitaries",
-        "bell_state",
         "ghz_state",
         "invariant_space_rank",
         "partial_trace",
-        "permutation_contraction",
-        "product_state",
         "projector",
-        "purify",
-        "random_density_matrix",
         "random_pure_state",
-        "random_unitary",
         "read_state_file",
         "write_state_file",
     ],
     "subsets": ["SubsetMask", "all_subsets"],
 }
+
+# Names that `luinv` exported until the test oracles moved to
+# tests/oracles.py; the lazy `__getattr__` must not serve them.
+REMOVED = [
+    "apply_local_unitaries",
+    "bell_state",
+    "conjugation_character",
+    "higher_basis_vector",
+    "permutation_contraction",
+    "product_state",
+    "purify",
+    "random_density_matrix",
+    "random_unitary",
+]
+UNKNOWN = ["np", "no_such_name", *REMOVED]
 
 COMBINATORIAL_COMMANDS = [
     ["dims", "--k", "3", "--m", "2"],
@@ -106,7 +111,7 @@ print(json.dumps({"steps": steps, "outcomes": outcomes}))
 # touched, touches it through one name, then resolves every public name.
 _API_SCRIPT = """
 import importlib, json, sys
-first, api = sys.argv[1], json.loads(sys.argv[2])
+first, api, unknown_names = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 import luinv
 listed = set(dir(luinv))
 numpy_before = "numpy" in sys.modules
@@ -124,7 +129,7 @@ for module, names in api.items():
         if not (getattr(luinv, name) is imported[name] is star.get(name) is want):
             wrong.append(name)
 unknown = []
-for name in ("np", "no_such_name"):
+for name in unknown_names:
     try:
         getattr(luinv, name)
     except AttributeError:
@@ -163,7 +168,7 @@ def test_combinatorial_commands_never_import_numpy(capsys):
 
 @pytest.mark.parametrize("first", ["eta", "PureState", "invariants", "states"])
 def test_public_api_is_unchanged(first):
-    report = _fresh(_API_SCRIPT, first, json.dumps(PUBLIC_API))
+    report = _fresh(_API_SCRIPT, first, json.dumps(PUBLIC_API), json.dumps(UNKNOWN))
     assert report == {
         "unlisted": [],
         "numpy_before": False,
@@ -177,6 +182,6 @@ def test_public_api_in_process():
     # With the numpy tier loaded, unknown names still raise.
     luinv.PureState
     assert sorted(luinv.__all__) == sorted(n for names in PUBLIC_API.values() for n in names)
-    for name in ("np", "no_such_name"):
+    for name in UNKNOWN:
         with pytest.raises(AttributeError):
             getattr(luinv, name)

@@ -13,7 +13,7 @@ and, per end-to-end metric, both sides' medians and inclusive quartiles
 (statistics.quantiles), the number of pairs in which the change was lower,
 and the change of the median relative to the parent's, then one traced 30-s
 library run per side (--trace 1, seed --trace-seed) and one Tier-1 pytest run
-per side.
+per side, its summary line tallied by outcome.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ SIDES = ("parent", "change")
 WORKLOADS = ("library", "cli")
 TRACE_SECONDS = 30
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+OUTCOMES = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)\b")
 
 
 def bench_argv(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
@@ -59,13 +60,22 @@ def run_tier1(checkout: str) -> dict:
     proc = subprocess.run(TIER1, cwd=checkout, capture_output=True, text=True, env=env)
     seconds = time.perf_counter() - start
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", tail)}
+    counts = tally(tail)
     return {
         "tests": sum(counts.values()),
         "passed": counts.get("passed", 0),
         "exit_code": proc.returncode,
         "pytest_s": round(seconds, 2),
     }
+
+
+def tally(tail: str) -> dict:
+    """Tests per outcome in pytest's summary line, "error" and "errors" as one."""
+    counts = {}
+    for n, word in OUTCOMES.findall(tail):
+        word = "error" if word.startswith("error") else word
+        counts[word] = counts.get(word, 0) + int(n)
+    return counts
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -106,12 +116,14 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="root of the changed checkout")
     parser.add_argument("--pr", required=True, help="suffix of the output file, BENCH_<pr>.json")
     parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json is written")
-    parser.add_argument("--seeds", required=True, type=seed_range, help="first-last, e.g. 1-10")
+    parser.add_argument("--seeds", required=True, type=seed_range, help="first-last, at least two seeds, e.g. 1-10")
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--claimed", help="workload:metric the change claims to improve")
     parser.add_argument("--change-note", default="", help="one line saying what the change does")
     parser.add_argument("--trace-seed", required=True, type=int, help="seed of the traced library runs")
     args = parser.parse_args()
+    if len(args.seeds) < 2:
+        parser.error(f"--seeds needs at least two seeds for quartiles, got {args.seeds}")
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for side, root in roots.items():
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
