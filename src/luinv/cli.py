@@ -177,8 +177,7 @@ def _cmd_transform(args) -> int:
 def _cmd_rank_oracle(args) -> int:
     from .states import invariant_space_rank
 
-    dims = _parse_dims(args.local_dims)
-    print(invariant_space_rank(dims, args.m, args.samples, args.seed))
+    print(invariant_space_rank(_parse_dims(args.local_dims), args.m, args.seed))
     return 0
 
 
@@ -231,11 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("rank-oracle", help="numerical invariant-space rank")
-    p.add_argument("--local-dims", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("rank-oracle", help="invariant-space rank, exact mod a prime")
+    p.add_argument("--local-dims", required=True, help="comma-separated local dimensions")
+    p.add_argument("--m", type=int, required=True, help="half-degree")
+    p.add_argument("--seed", type=int, required=True, help="seed of the random samples mod a prime")
     p.set_defaults(func=_cmd_rank_oracle)
 
     return parser

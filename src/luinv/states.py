@@ -5,11 +5,11 @@ coefficients are stored row-major over the subsystem multi-index with the
 last subsystem varying fastest, i.e. C-order flattening of an array of
 shape dims.
 
-The numerical rank oracle evaluates one permutation contraction per
-conjugation orbit of S_m on S_m^k.  The orbit representatives come from
-the census walk of free_group_census; the gather index of each is built
-once per (dims, m), and a sample is then one gather from the system
-density matrix and one sum per column.
+The rank oracle evaluates one permutation contraction per conjugation
+orbit of S_m on S_m^k, exactly mod a prime.  The orbit representatives come
+from the census walk of free_group_census; the gather index of each is
+built once per (dims, m), and a sample is then one gather from a random
+integer stand-in for the system density matrix and one sum per column.
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ import numpy as np
 
 from .dimensions import stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError
-from .free_group_census import orbit_representatives
+from .free_group_census import MAX_TUPLES, check_tuple_bound, orbit_representatives
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
 # Most negative eigenvalue, relative to the largest, and excess trace that
 # DensityMatrix.validate_physical accepts.
 PHYSICAL_TOL = 1e-10
-RANK_TOL = 1e-8
-# Work bound of the rank oracle: rho entries gathered over all samples.
+# The rank oracle's prime, below 2^31: a product of two residues, or a sum
+# of up to RANK_GATHER_BOUND of them, fits in int64.
+PRIME = 2_147_483_629
+# Samples that may fail to raise the rank before the rank oracle stops.
+STALL = 2
+# Work bound of the rank oracle: entries gathered over columns + STALL samples.
 RANK_GATHER_BOUND = 20_000_000
 # Largest projector psi psi* built, in matrix entries; eleven qubits fit.
 PROJECTOR_ENTRY_BOUND = 1 << 22
@@ -168,7 +172,7 @@ def ghz_state(k: int) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# The numerical rank oracle
+# The rank oracle
 
 
 @lru_cache(maxsize=16)
@@ -196,64 +200,62 @@ def _orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
 
 
 def _orbit_contractions(rho_sys: np.ndarray, sys_dims: tuple[int, ...], m: int) -> np.ndarray:
-    """Value of one contraction per conjugation orbit, from the system
-    density matrix of a system+environment pure state."""
+    """One contraction mod PRIME per orbit, of an int64 rho_sys with entries mod PRIME."""
     index = _orbit_gather_index(sys_dims, m)
-    return rho_sys.reshape(-1)[index].prod(axis=1).sum(axis=1)
+    flat = rho_sys.reshape(-1)
+    product = flat[index[:, 0]]
+    for j in range(1, m):
+        product = product * flat[index[:, j]] % PRIME
+    return product.sum(axis=1) % PRIME
 
 
-def invariant_space_rank(
-    dims: Sequence[int], m: int, sample_count: int | None = None, seed=0
-) -> int:
-    """Numerical rank of the evaluation matrix of the permutation
-    contractions over random pure states on dims plus an appended
-    environment subsystem of dimension prod(dims).
+def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
+    """Rank mod PRIME of the permutation contractions of states on dims plus
+    an environment of dimension prod(dims), evaluated on random samples.
 
     Relabelling the m copies of the state, or of its conjugate, leaves a
-    contraction's value unchanged.  So the environment permutation can be
-    made the identity, and the columns are one representative per orbit of
-    S_m acting on S_m^k by simultaneous conjugation, in the order of the
-    census walk (free_group_census.orbit_representatives); there are
-    stable_dimension(k+1, m) of them, which is checked.
-    The default sample count is three per column and at least one per
-    column is required.  The census walk refuses past its raw-tuple bound
-    free_group_census.MAX_TUPLES, m!^max(k, 1), and the gathers are
-    refused past RANK_GATHER_BOUND entries, before any sampling.  Singular values above 1e-8 of the largest count toward the
-    rank.
+    contraction's value unchanged, so the environment permutation is the
+    identity and the columns are the census walk's representatives of the
+    orbits of S_m on S_m^k under simultaneous conjugation, as many as
+    stable_dimension(k+1, m) (checked).
+    Each contraction is an integer polynomial in the entries of rho_sys,
+    and Hermitian matrices are a real form of M_n(C), so a sample is a
+    uniform random integer matrix mod PRIME.  The rank mod PRIME never
+    exceeds the true rank; a sample fails to raise a lower rank with
+    probability at most about m/PRIME (Schwartz-Zippel).  Sampling stops
+    once STALL samples have not raised the rank, or at the column count.
+    Refused before the census walk past MAX_TUPLES raw tuples m!^max(k, 1)
+    or RANK_GATHER_BOUND entries gathered over columns + STALL samples.
     """
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")
     k = len(sys_dims)
-    n_orbits = len(orbit_representatives(k, m))
-    expected = stable_dimension(k + 1, m)
-    if n_orbits != expected:
-        raise ConsistencyError(
-            f"{n_orbits} conjugation orbits, stable_dimension gives {expected}"
-        )
-    if sample_count is None:
-        sample_count = 3 * n_orbits
-    if sample_count < n_orbits:
-        raise ValueError(f"need at least {n_orbits} samples")
+    check_tuple_bound(m, k, MAX_TUPLES)
+    columns = stable_dimension(k + 1, m)
     n_sys = math.prod(sys_dims)
-    if n_orbits * n_sys**m * sample_count > RANK_GATHER_BOUND:
+    if columns * m * n_sys**m * (columns + STALL) > RANK_GATHER_BOUND:
         raise EnumerationBoundError(
-            f"refusing {sample_count} samples of {n_orbits} contractions over "
-            f"{n_sys}^{m} indices (limit {RANK_GATHER_BOUND} gathered entries)"
+            f"refusing up to {columns + STALL} samples of {columns} contractions of "
+            f"{m} factors over {n_sys}^{m} indices (limit {RANK_GATHER_BOUND} gathered entries)"
         )
+    n_orbits = len(orbit_representatives(k, m))
+    if n_orbits != columns:
+        raise ConsistencyError(f"{n_orbits} conjugation orbits, stable_dimension gives {columns}")
     if m == 0:
         return 1  # the single empty contraction is the constant 1
     rng = np.random.default_rng(seed)
-    matrix = np.empty((sample_count, n_orbits), dtype=complex)
-    n_env = n_sys
-    for s in range(sample_count):
-        z = rng.standard_normal(n_sys * n_env) + 1j * rng.standard_normal(n_sys * n_env)
-        z = z.reshape(n_sys, n_env) / np.linalg.norm(z)
-        matrix[s] = _orbit_contractions(z @ z.conj().T, sys_dims, m)
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0 or singular[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(singular > RANK_TOL * singular[0]))
+    basis, failed = [], 0  # basis: (pivot, echelon row with 1 at the pivot)
+    while len(basis) < columns and failed < STALL:
+        row = _orbit_contractions(rng.integers(0, PRIME, (n_sys, n_sys)), sys_dims, m)
+        for pivot, echelon in basis:
+            row = (row - row[pivot] * echelon) % PRIME
+        pivot = int(np.argmax(row != 0))
+        if row[pivot]:
+            basis.append((pivot, row * pow(int(row[pivot]), -1, PRIME) % PRIME))
+        else:
+            failed += 1
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------

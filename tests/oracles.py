@@ -7,6 +7,9 @@ way, or a way to build test states:
   whose span higher_invariant projects onto;
 - permutation_contraction: one einsum per permutation tuple, against which
   the rank oracle's gathered orbit columns are checked;
+- svd_rank: the numerical rank of the same orbit columns on complex pure
+  states, against which the exact rank mod a prime is checked at small
+  sizes;
 - purify: a system+environment pure state whose environment trace is a
   given density matrix;
 - random_unitary, apply_local_unitaries, product_state and
@@ -25,9 +28,11 @@ import numpy as np
 
 from luinv import DensityMatrix, PureState, SubsetMask
 from luinv.invariants import _check_work, _perm_sign, _require_subset
-from luinv.states import _LETTERS, HERMITICITY_TOL
+from luinv.states import _LETTERS, HERMITICITY_TOL, _orbit_gather_index
 
 PURIFY_CUTOFF = 1e-12
+# Singular values above this fraction of the largest count toward svd_rank.
+SVD_RANK_TOL = 1e-8
 
 
 def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
@@ -137,6 +142,35 @@ def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> c
     tensor = psi.tensor()
     operands = [tensor] * m + [tensor.conj()] * m
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+
+
+def gathered_contractions(rho_sys: np.ndarray, sys_dims: Sequence[int], m: int) -> np.ndarray:
+    """One complex contraction per conjugation orbit, straight from the
+    rank oracle's gather index: the product over the m factors, then the
+    sum over the system multi-index."""
+    index = _orbit_gather_index(tuple(sys_dims), m)
+    return rho_sys.reshape(-1)[index].prod(axis=1).sum(axis=1)
+
+
+def svd_rank(dims: Sequence[int], m: int, seed=0) -> int:
+    """Numerical rank of the orbit contractions on random pure states of
+    dims plus an environment of dimension prod(dims): three samples per
+    column, an SVD, and singular values above SVD_RANK_TOL of the largest.
+    Meant for small sizes only; it has no work bound.
+    """
+    dims = tuple(dims)
+    columns = _orbit_gather_index(dims, m).shape[0]
+    n = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    matrix = np.empty((3 * columns, columns), dtype=complex)
+    for row in matrix:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        z /= np.linalg.norm(z)
+        row[:] = gathered_contractions(z @ z.conj().T, dims, m)
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    if singular.size == 0 or singular[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(singular > SVD_RANK_TOL * singular[0]))
 
 
 def purify(rho: DensityMatrix) -> PureState:

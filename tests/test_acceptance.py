@@ -132,7 +132,7 @@ def test_criterion_06_restricted_dimension_oracle():
     rank = invariant_space_rank((2, 2), 4, seed=1024)
     ok = ok and rank == restricted_dimension((2, 2), 4) == 16
     elapsed = time.time() - start
-    _verdict(6, "numerical rank vs restricted dimension", ok and elapsed < 300.0, elapsed)
+    _verdict(6, "exact rank mod p vs restricted dimension", ok and elapsed < 300.0, elapsed)
 
 
 def test_criterion_07_proposition_transform():

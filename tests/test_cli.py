@@ -241,12 +241,13 @@ def test_rank_oracle(capsys):
     assert (code, out) == (0, "5\n")
 
 
-def test_rank_oracle_sample_minimum_is_the_orbit_count(capsys):
+def test_rank_oracle_has_no_samples_option(capsys):
     base = ("rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "7")
-    assert run(capsys, *base, "--samples", "4")[:2] == (0, "4\n")
-    code, out, err = run(capsys, *base, "--samples", "3")
-    assert (code, out) == (2, "")
-    assert "need at least 4 samples" in err
+    assert run(capsys, *base)[:2] == (0, "4\n")
+    with pytest.raises(SystemExit) as info:
+        main([*base, "--samples", "4"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unbounded_requests_exit_3(tmp_path, capsys):

@@ -29,11 +29,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from oracles import (  # noqa: E402
     apply_local_unitaries,
+    gathered_contractions,
     permutation_contraction,
     product_state,
     purify,
     random_density_matrix,
     random_unitary,
+    svd_rank,
 )
 
 
@@ -232,14 +234,30 @@ def test_rank_oracle_degree_zero():
 
 def test_rank_oracle_two_qubits():
     assert invariant_space_rank((2, 2), 2, seed=15) == 4
-    assert invariant_space_rank((2, 2), 2, sample_count=8, seed=16) == 4
 
 
-def test_rank_oracle_rejects_undersampling():
-    # (2, 2) at m = 2 has 4 conjugation-orbit columns.
-    assert invariant_space_rank((2, 2), 2, sample_count=4, seed=17) == 4
-    with pytest.raises(ValueError):
-        invariant_space_rank((2, 2), 2, sample_count=3, seed=17)
+def test_rank_oracle_rejects_undersampling(monkeypatch):
+    """No sample count is taken: the oracle samples until STALL samples
+    have not raised the rank, or the rank reaches the column count."""
+    import luinv.states as states_module
+
+    drawn = []
+    contractions = states_module._orbit_contractions
+
+    def counted(*args):
+        drawn.append(None)
+        return contractions(*args)
+
+    monkeypatch.setattr(states_module, "_orbit_contractions", counted)
+    # (2, 2) at m = 2: 4 columns, all independent.
+    assert invariant_space_rank((2, 2), 2, seed=17) == 4
+    assert len(drawn) == 4
+    # One qubit at m = 3: 3 columns, rank 2.
+    drawn.clear()
+    assert invariant_space_rank((2,), 3, seed=17) == 2 == restricted_dimension((2,), 3)
+    assert len(drawn) == 2 + states_module.STALL
+    with pytest.raises(TypeError):
+        invariant_space_rank((2, 2), 2, 3, seed=17)  # a sample count is no parameter
 
 
 def test_rank_oracle_matches_restricted_dimension_small():
@@ -261,23 +279,60 @@ def test_rank_oracle_refuses_before_sampling(monkeypatch):
 
 
 def test_fast_contraction_table_matches_direct():
-    """Every orbit column of the rank oracle equals the definition, with the
-    environment permutation the identity."""
+    """Every orbit column of the rank oracle's gather index equals the
+    definition, with the environment permutation the identity."""
     from luinv.free_group_census import orbit_representatives
-    from luinv.states import _orbit_contractions
 
     rng = np.random.default_rng(19)
     for dims, m in [((2,), 2), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((3,), 3), ((2, 2), 4)]:
         n_sys = math.prod(dims)
         psi = random_pure_state(dims + (n_sys,), rng)
         z = psi.coeffs.reshape(n_sys, n_sys)
-        table = _orbit_contractions(z @ z.conj().T, dims, m)
+        table = gathered_contractions(z @ z.conj().T, dims, m)
         reps = orbit_representatives(len(dims), m)
         assert table.shape == (len(reps),)
         identity = tuple(range(m))
         for taus, value in zip(reps, table):
             direct = permutation_contraction(psi, taus + (identity,))
             assert abs(direct - value) < 1e-10
+
+
+def test_rank_oracle_refuses_before_the_census_walk(monkeypatch):
+    import luinv.states as states_module
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the census before refusing")
+
+    monkeypatch.setattr(states_module, "orbit_representatives", no_walk)
+    # 2^18 columns pass the tuple bound, but not the gather bound.
+    with pytest.raises(EnumerationBoundError, match="262144 contractions"):
+        invariant_space_rank((1,) * 18, 2, seed=1)
+
+
+def test_modular_contractions_match_python_ints():
+    """The int64 gather mod PRIME equals the same contraction in exact
+    Python integers reduced mod PRIME, with entries near PRIME so that a
+    missed reduction would overflow int64."""
+    from luinv.states import PRIME, _orbit_contractions
+
+    rng = np.random.default_rng(23)
+    for dims, m in [((2,), 3), ((2, 2), 2), ((2, 2), 3), ((3,), 4)]:
+        n_sys = math.prod(dims)
+        rho = rng.integers(PRIME - 1000, PRIME, (n_sys, n_sys))
+        exact = gathered_contractions(rho.astype(object), dims, m)
+        assert _orbit_contractions(rho, dims, m).tolist() == [int(v) % PRIME for v in exact]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    dims=st.sampled_from([(2,), (3,), (2, 2), (2, 3)]),
+    m=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_rank_matches_svd_rank_and_restricted_dimension(dims, m, seed):
+    rank = invariant_space_rank(dims, m, seed=seed)
+    assert rank == svd_rank(dims, m, seed) == restricted_dimension(dims, m)
+    assert rank <= stable_dimension(len(dims) + 1, m)
 
 
 def test_state_file_roundtrip(tmp_path):
