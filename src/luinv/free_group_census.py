@@ -7,7 +7,7 @@ the first, then the orbits of the stabilizer of each prefix for the next,
 with every stabilizer found by filtering group elements, so its work
 follows the number of orbits rather than the degree!^length tuples.  The
 orbit counts, the subgroup counts (its transitive orbits) and the columns
-of the numerical rank oracle all come from it, one memoized walk per
+of the rank oracle mod a prime all come from it, one memoized walk per
 (length, degree).  It deliberately uses no closed formula for class or
 orbit counts, only group elements conjugated and compared, so that its
 results are independent of the identities they are used to verify.
@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import chain, repeat
 from math import factorial
 from typing import Callable
 
-from .errors import EnumerationBoundError
+from .errors import check_work
 
 # Largest number of raw tuples degree!^max(length, 1) admitted to the walk,
-# which visits far fewer.  Covers the documented practical bounds (degree 5
-# for two generators, degree 4 for three) with room to spare.
+# which visits far fewer, and largest length at degree <= 1.  Covers the
+# documented practical bounds (degree 5 for two generators, degree 4 for
+# three) with room to spare.
 MAX_TUPLES = 500_000
 
 Perm = tuple[int, ...]
@@ -54,32 +56,23 @@ def _is_transitive(perms: tuple[Perm, ...], degree: int) -> bool:
     return count == degree
 
 
-def check_tuple_bound(degree: int, length: int, limit: int) -> None:
-    """Refuse when the degree!^max(length, 1) raw tuples exceed limit.
+def check_tuple_bound(degree: int, length: int) -> None:
+    """Refuse when the degree!^max(length, 1) raw tuples exceed MAX_TUPLES,
+    or, at degree <= 1, where the one tuple is built, when its length does.
 
     At length 0 the count is still the degree! permutations, although the
     one empty tuple is found without listing them: one formula,
     degree!^max(length, 1), at every length keeps the set of refused inputs,
-    and so the CLI's exit codes, stable.
-    The count is multiplied up one factor at a time and given up once it
-    passes limit**2, so the check's own cost does not grow with the input;
-    below that the refusal states the exact count.
+    and so the CLI's exit codes, stable.  A huge degree or length is
+    refused in a few steps (errors.check_work).
     """
-    count = 1
-    for _ in range(max(length, 1) if degree > 1 else 0):
-        for i in range(2, degree + 1):
-            count *= i
-            if count > limit**2:
-                _refuse(f"more than {limit**2}", degree, length, limit)
-    if count > limit:
-        _refuse(count, degree, length, limit)
-
-
-def _refuse(count, degree: int, length: int, limit: int) -> None:
-    raise EnumerationBoundError(
-        f"refusing to enumerate {count} permutation tuples "
-        f"(degree {degree}, tuple length {length}, limit {limit})"
-    )
+    if degree > 1:
+        factors = chain.from_iterable(repeat(range(2, degree + 1), max(length, 1)))
+        message = "refusing to enumerate {} permutation tuples "
+    else:
+        factors, message = (length,), "refusing to build a tuple of {} permutations "
+    message += f"(degree {degree}, tuple length {length}, limit {MAX_TUPLES})"
+    check_work(factors, MAX_TUPLES, message)
 
 
 def _permutation_table(degree: int) -> bytes:
@@ -209,9 +202,9 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     level by level, parents in order and children in increasing x, so the
     output comes out sorted.  No tuple outside an orbit minimum is
     visited, and no cycle type or counting formula is used.
-    A negative length or degree raises ValueError; inputs past MAX_TUPLES
-    raw tuples degree!^max(length, 1) are refused after that check, and
-    callers may check a tighter bound first.  Length 0 and degrees below 2
+    A negative length or degree raises ValueError; inputs past
+    check_tuple_bound are refused after that check, and callers may check
+    a tighter bound first.  Length 0 and degrees below 2
     have one orbit and are answered without listing permutations.
 
     Walks at (length, degree) = (2, 5), (3, 4), (4, 4) and (5, 3) take
@@ -224,7 +217,7 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     """
     if length < 0 or degree < 0:
         raise ValueError("need length >= 0 and degree >= 0")
-    check_tuple_bound(degree, length, MAX_TUPLES)
+    check_tuple_bound(degree, length)
     if length == 0 or degree < 2:
         return ((tuple(range(degree)),) * length,)
     table, moves = _move_tables(degree)

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConsistencyError, EnumerationBoundError
+from .errors import ConsistencyError, check_work
 from .states import DensityMatrix, PureState, partial_trace, projector
 from .subsets import SubsetMask, all_subsets
 
@@ -107,11 +106,9 @@ def _pair_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """
     k = len(dims)
     rows = math.prod(n * (n + 1) // 2 for n in dims)
-    if rows << k > I_TABLE_BOUND:
-        raise EnumerationBoundError(
-            f"refusing an I-family table of {rows << k} pair products "
-            f"(dims {dims}, limit {I_TABLE_BOUND})"
-        )
+    message = f"refusing an I-family table of {{}} pair products "
+    message += f"(dims {dims}, limit {I_TABLE_BOUND})"
+    check_work((rows, 1 << k), I_TABLE_BOUND, message)
     strides = [math.prod(dims[j + 1 :]) for j in range(k)]
     pairs = [np.array([(a, b) for a in range(n) for b in range(a, n)]) for n in dims]
     choice = np.indices([len(p) for p in pairs]).reshape(k, rows)
@@ -227,20 +224,6 @@ def meyer_wallach(psi: PureState) -> float:
 # Basis vectors of the invariant subspaces and higher-order invariants
 
 
-def _check_work(factors: Iterable[int], what: str) -> None:
-    """Refuse with EnumerationBoundError as soon as the running product of
-    the factors passes HIGHER_WORK_BOUND.  Factors are consumed one at a
-    time, so a count with a huge factorial in it is refused in a few steps."""
-    total = 1
-    for factor in factors:
-        total *= factor
-        if total > HIGHER_WORK_BOUND:
-            raise EnumerationBoundError(
-                f"refusing {what} exceeds the limit of "
-                f"{HIGHER_WORK_BOUND} tensor entries written"
-            )
-
-
 def _perm_sign(p: tuple[int, ...]) -> float:
     sign = 1.0
     for i in range(len(p)):
@@ -276,9 +259,11 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         raise ValueError("need m >= 1")
     k = psi.k
     n = math.prod(psi.dims)
-    _check_work(
+    check_work(
         itertools.chain([max(k, 1)], range(2, m + 1), itertools.repeat(n, m)),
-        f"higher-order evaluation at m={m}, total dimension {n}: k * m! * n^m",
+        HIGHER_WORK_BOUND,
+        f"refusing higher-order evaluation at m={m}, total dimension {n}: k * m! * n^m "
+        f"exceeds the limit of {HIGHER_WORK_BOUND} tensor entries written",
     )
     power = psi.coeffs
     for _ in range(m - 1):

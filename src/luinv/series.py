@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationBoundError, IntegralityError
+from .errors import IntegralityError, check_work
 
 SERIES_WORK_BOUND = 250_000
 
@@ -85,12 +85,9 @@ def hilbert_series(k: int, order: int) -> PowerSeries:
     1/(1-t) for k = 1.  Refused past SERIES_WORK_BOUND (module docstring)."""
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    work = order * order * max(1, k - 2)
-    if work > SERIES_WORK_BOUND:
-        raise EnumerationBoundError(
-            f"refusing the k={k} series to order {order}: order^2 * max(1, k-2) = "
-            f"{work} exceeds {SERIES_WORK_BOUND}"
-        )
+    message = f"refusing the k={k} series to order {order}: order^2 * max(1, k-2) = "
+    message += f"{{}} exceeds {SERIES_WORK_BOUND}"
+    check_work((order, order, max(1, k - 2)), SERIES_WORK_BOUND, message)
     if k == 1:
         return PowerSeries(order, (1,) * (order + 1))
     e = k - 2

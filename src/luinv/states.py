@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .dimensions import stable_dimension
-from .errors import ConsistencyError, EnumerationBoundError
-from .free_group_census import MAX_TUPLES, check_tuple_bound, orbit_representatives
+from .errors import ConsistencyError, check_work
+from .free_group_census import check_tuple_bound, orbit_representatives
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
@@ -36,7 +36,7 @@ PHYSICAL_TOL = 1e-10
 PRIME = 2_147_483_629
 # Samples that may fail to raise the rank before the rank oracle stops.
 STALL = 2
-# Work bound of the rank oracle: entries gathered over columns + STALL samples.
+# Work bound of the rank oracle: entries sampled or gathered, all samples.
 RANK_GATHER_BOUND = 20_000_000
 # Largest projector psi psi* built, in matrix entries; eleven qubits fit.
 PROJECTOR_ENTRY_BOUND = 1 << 22
@@ -119,11 +119,8 @@ def projector(psi: PureState) -> DensityMatrix:
     """The rank-one operator psi psi*, refused past PROJECTOR_ENTRY_BOUND
     entries before it is built."""
     side = psi.coeffs.size
-    if side * side > PROJECTOR_ENTRY_BOUND:
-        raise EnumerationBoundError(
-            f"refusing to build a {side}x{side} projector "
-            f"(limit {PROJECTOR_ENTRY_BOUND} entries)"
-        )
+    message = f"refusing to build a {side}x{side} projector (limit {PROJECTOR_ENTRY_BOUND} entries)"
+    check_work((side, side), PROJECTOR_ENTRY_BOUND, message)
     return DensityMatrix(psi.dims, np.outer(psi.coeffs, psi.coeffs.conj()))
 
 
@@ -224,21 +221,24 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
     exceeds the true rank; a sample fails to raise a lower rank with
     probability at most about m/PRIME (Schwartz-Zippel).  Sampling stops
     once STALL samples have not raised the rank, or at the column count.
-    Refused before the census walk past MAX_TUPLES raw tuples m!^max(k, 1)
-    or RANK_GATHER_BOUND entries gathered over columns + STALL samples.
+    Refused before the census walk past the census's tuple bound, or past
+    RANK_GATHER_BOUND entries over columns + STALL samples of max(n^2,
+    columns x m x n^m) entries sampled or gathered (none at m = 0).
     """
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")
     k = len(sys_dims)
-    check_tuple_bound(m, k, MAX_TUPLES)
+    check_tuple_bound(m, k)
     columns = stable_dimension(k + 1, m)
     n_sys = math.prod(sys_dims)
-    if columns * m * n_sys**m * (columns + STALL) > RANK_GATHER_BOUND:
-        raise EnumerationBoundError(
-            f"refusing up to {columns + STALL} samples of {columns} contractions of "
-            f"{m} factors over {n_sys}^{m} indices (limit {RANK_GATHER_BOUND} gathered entries)"
-        )
+    check_work(
+        (max(n_sys**2, columns * m * n_sys**m) if m else 0, columns + STALL),
+        RANK_GATHER_BOUND,
+        f"refusing up to {columns + STALL} samples of {n_sys}x{n_sys} entries and {columns} "
+        f"contractions of {m} factors over {n_sys}^{m} indices "
+        f"(limit {RANK_GATHER_BOUND} sampled or gathered entries)",
+    )
     n_orbits = len(orbit_representatives(k, m))
     if n_orbits != columns:
         raise ConsistencyError(f"{n_orbits} conjugation orbits, stable_dimension gives {columns}")

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from luinv import DensityMatrix, PureState, SubsetMask
-from luinv.invariants import _check_work, _perm_sign, _require_subset
+from luinv.errors import check_work
+from luinv.invariants import HIGHER_WORK_BOUND, _perm_sign, _require_subset
 from luinv.states import _LETTERS, HERMITICITY_TOL, _orbit_gather_index
 
 PURIFY_CUTOFF = 1e-12
@@ -79,12 +80,16 @@ def higher_basis_vector(
             if (b <= a) if strict else (b < a):
                 raise ValueError(f"row {row} not admissible for subsystem {j}")
     n = math.prod(dims)
-    _check_work(
-        itertools.repeat(n, m), f"a basis vector at m={m}, total dimension {n}: n^m"
+    written = f"exceeds the limit of {HIGHER_WORK_BOUND} tensor entries written"
+    check_work(
+        itertools.repeat(n, m),
+        HIGHER_WORK_BOUND,
+        f"refusing a basis vector at m={m}, total dimension {n}: n^m {written}",
     )
-    _check_work(
+    check_work(
         itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), k + 1)),
-        f"a basis vector at m={m}, k={k}: (m!)^(k+1)",
+        HIGHER_WORK_BOUND,
+        f"refusing a basis vector at m={m}, k={k}: (m!)^(k+1) {written}",
     )
     perms = list(itertools.permutations(range(m)))
     weight = 1.0 / math.factorial(m)

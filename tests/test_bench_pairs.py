@@ -1,6 +1,7 @@
 """The pair runner's argument checks and its summaries, on canned input;
 no benchmark or pytest run is started."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,21 +28,50 @@ def test_seed_range():
     assert bench_pairs.seed_range("10-1") == []
 
 
-@pytest.mark.parametrize("seeds", ["5", "10-1", "3-3"])
-def test_fewer_than_two_seeds_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, seeds):
+def checkouts(tmp_path, *options):
+    """bench_pairs argv over two empty checkouts with perfbench/run.py and a
+    BENCHMARK.json naming two end-to-end metrics."""
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
-    argv = [
+        benchmark = {
+            "end_to_end": [{"name": "wall_s"}, {"name": "peak_rss_mib"}],
+            "per_layer": [{"name": "cli.main_ms"}],
+        }
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return [
         "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-        "--pr", "0", "--out-dir", str(tmp_path), "--seeds", seeds, "--trace-seed", "1",
+        "--pr", "0", "--out-dir", str(tmp_path), "--trace-seed", "1", *options,
     ]
-    monkeypatch.setattr(sys, "argv", argv)
+
+
+@pytest.mark.parametrize("seeds", ["5", "10-1", "3-3"])
+def test_fewer_than_two_seeds_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, seeds):
+    monkeypatch.setattr(sys, "argv", checkouts(tmp_path, "--seeds", seeds))
     with pytest.raises(SystemExit) as info:
         bench_pairs.main()
     assert info.value.code == 2
     assert "--seeds needs at least two seeds" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+@pytest.mark.parametrize(
+    "claimed", ["foo", "library:", "library:nope", "gpu:wall_s", "cli:cli.main_ms", ":wall_s"]
+)
+def test_unknown_claim_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, claimed):
+    monkeypatch.setattr(sys, "argv", checkouts(tmp_path, "--seeds", "1-2", "--claimed", claimed))
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code == 2
+    assert "--claimed must be <library|cli>:<an end_to_end metric" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_known_claim_reaches_the_first_run(monkeypatch, tmp_path, no_runs):
+    argv = checkouts(tmp_path, "--seeds", "1-2", "--claimed", "cli:peak_rss_mib")
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(AssertionError, match="started a process"):
+        bench_pairs.main()
 
 
 def test_summarize():

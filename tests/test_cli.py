@@ -114,14 +114,29 @@ def test_orbits_length_zero_is_bounded(capsys):
     # At length 0 the walk still lists all m! permutations; 12! is refused
     # before any is listed, and 9! still fits.
     from luinv import EnumerationBoundError, conjugation_orbit_count
-    from luinv.free_group_census import MAX_TUPLES, check_tuple_bound
+    from luinv.free_group_census import check_tuple_bound
 
     with pytest.raises(EnumerationBoundError):
-        check_tuple_bound(12, 0, MAX_TUPLES)
+        check_tuple_bound(12, 0)
     code, out, err = run(capsys, "orbits", "--tuple-length", "0", "--m", "12")
     assert (code, out) == (3, "")
     assert err.startswith("luinv: refusing")
     assert conjugation_orbit_count(0, 9) == 1
+
+
+def test_tuple_length_is_bounded_at_degree_one(capsys):
+    # At degree <= 1 there is one tuple, but it is built entry by entry, so
+    # its length is counted: 500,000 prints 1 and longer tuples exit 3.
+    code, out, _ = run(capsys, "orbits", "--tuple-length", "500000", "--m", "1")
+    assert (code, out) == (0, "1\n")
+    for argv in [
+        ("orbits", "--tuple-length", "600000", "--m", "1"),
+        ("orbits", "--tuple-length", "600000", "--m", "0"),
+        ("subgroups", "--rank", "600000", "--max-index", "1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("luinv: refusing to build a tuple of 600000 permutations")
 
 
 def test_char_table(capsys):

@@ -278,6 +278,27 @@ def test_rank_oracle_refuses_before_sampling(monkeypatch):
         invariant_space_rank((2, 2, 2), 4, seed=1)
 
 
+def test_rank_oracle_counts_the_sample_matrix_at_m_1(monkeypatch):
+    # At m = 1 a sample is an n x n matrix but gathers only n entries, so
+    # the bound counts 3 n^2: n = 2582 is refused, n = 2581 is sampled.
+    import luinv.states as states_module
+
+    class Sampled(Exception):
+        pass
+
+    def no_sampling(*args, **kwargs):
+        raise Sampled
+
+    monkeypatch.setattr(states_module.np.random, "default_rng", no_sampling)
+    with pytest.raises(EnumerationBoundError, match="2582x2582"):
+        invariant_space_rank((2582,), 1, seed=1)
+    with pytest.raises(EnumerationBoundError, match="gathered entries"):
+        invariant_space_rank((2, 1291), 1, seed=1)
+    with pytest.raises(Sampled):
+        invariant_space_rank((2581,), 1, seed=1)
+    assert invariant_space_rank((2581,), 0, seed=1) == 1  # m = 0 samples nothing
+
+
 def test_fast_contraction_table_matches_direct():
     """Every orbit column of the rank oracle's gather index equals the
     definition, with the environment permutation the identity."""

@@ -118,7 +118,9 @@ def main() -> int:
     parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json is written")
     parser.add_argument("--seeds", required=True, type=seed_range, help="first-last, at least two seeds, e.g. 1-10")
     parser.add_argument("--seconds", type=float, default=55)
-    parser.add_argument("--claimed", help="workload:metric the change claims to improve")
+    parser.add_argument(
+        "--claimed", help="library|cli:metric the change claims to improve, an end_to_end metric"
+    )
     parser.add_argument("--change-note", default="", help="one line saying what the change does")
     parser.add_argument("--trace-seed", required=True, type=int, help="seed of the traced library runs")
     args = parser.parse_args()
@@ -128,6 +130,15 @@ def main() -> int:
     for side, root in roots.items():
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
             parser.error(f"--{side} {root} has no perfbench/run.py")
+    if args.claimed:
+        workload, _, metric = args.claimed.partition(":")
+        with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+            names = [entry["name"] for entry in json.load(fh)["end_to_end"]]
+        if workload not in WORKLOADS or metric not in names:
+            parser.error(
+                f"--claimed must be <{'|'.join(WORKLOADS)}>:<an end_to_end metric of the --change "
+                f"BENCHMARK.json: {'|'.join(names)}>, got {args.claimed!r}"
+            )
 
     out = {
         "change": args.change_note,
@@ -144,7 +155,6 @@ def main() -> int:
         ),
     }
     if args.claimed:
-        workload, _, metric = args.claimed.partition(":")
         out["claimed"] = {"workload": workload, "metric": metric}
     out["workloads"] = {}
     for workload in WORKLOADS:
