@@ -11,10 +11,10 @@ squared projection of psi^m onto the span of the explicit basis vectors
 that tests build as its oracle (higher_basis_vector in tests/oracles.py).
 
 The subset-parity transform is a Walsh-Hadamard transform over the 2^k
-subsets.  One helper computes it by butterflies; it serves j_from_i and
-i_from_j (exactly, on int and Fraction values) and the I-family, whose
-whole vector is one gather of coefficient pair products per dims, one
-transform along the mask axis and one weighted sum of squared moduli.
+subsets, computed by butterflies for j_from_i and i_from_j (exactly, on int
+and Fraction values).  The whole I-vector is one 2-point butterfly per
+subsystem on psi x psi, then one symmetric and one antisymmetric sum of
+squared moduli per subsystem.
 
 Subsystem labels are 1-based (SubsetMask); basis-state indices are 0-based.
 """
@@ -33,25 +33,12 @@ from .errors import ConsistencyError, check_work
 from .states import DensityMatrix, PureState, partial_trace, projector
 from .subsets import SubsetMask, all_subsets
 
-__all__ = [
-    "InvariantVector",
-    "invariant_I",
-    "invariant_J",
-    "invariant_I_vector",
-    "invariant_J_vector",
-    "j_from_i",
-    "i_from_j",
-    "eta",
-    "meyer_wallach",
-    "higher_invariant",
-]
-
 # Largest work count of higher_invariant (k * m! * n^m, one more projector
 # than it writes; five qubits at m = 3 fit) and of the basis-vector oracle
 # higher_basis_vector in tests/oracles.py ((m!)^(k+1), and its n^m entries).
 HIGHER_WORK_BOUND = 10**6
-# Largest table of pair products, prod over j of n_j(n_j+1)/2 times 2^k
-# entries, that the I-family kernel builds: eight qubits fit.
+# Largest I-family work count, prod over j of n_j(n_j+1)/2 times 2^k, a bound
+# on the prod n_j^2 entries of psi x psi and the 2^k values: eight qubits fit.
 I_TABLE_BOUND = 1 << 21
 
 
@@ -78,68 +65,61 @@ def _require_subset(state_k: int, subset: SubsetMask) -> None:
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """sum over B of (-1)^|A cap B| values[..., B] for every A, along the
-    last axis (length 2^k), by k butterfly passes in place.
-
-    Object arrays of ints and Fractions stay exact.
-    """
-    n = values.shape[-1]
+    """sum over B of (-1)^|A cap B| values[B] for every A (length 2^k), by
+    k butterfly passes in place; ints and Fractions in object arrays stay
+    exact."""
     half = 1
-    while half < n:
-        pairs = values.reshape(values.shape[:-1] + (n // (2 * half), 2, half))
-        low, high = pairs[..., 0, :], pairs[..., 1, :]
-        pairs[..., 0, :], pairs[..., 1, :] = low + high, low - high
+    while half < len(values):
+        pairs = values.reshape(-1, 2, half)
+        low, high = pairs[:, 0], pairs[:, 1]
+        pairs[:, 0], pairs[:, 1] = low + high, low - high
         half *= 2
     return values
 
 
 @lru_cache(maxsize=16)
-def _pair_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices and weights of the I-family.
-
-    Rows run over the index-pair combinations (a_j <= b_j at every
-    subsystem, in itertools.product order), columns over the masks B: row
-    and column pick the coefficients at (a or b) and (b or a) per subsystem,
-    swapped on the members of B.  The weight of a row is 2^-(k+c), c the
-    number of equal pairs.  Returns (indices of shape (2, rows, 2^k),
-    weights).
-    """
-    k = len(dims)
-    rows = math.prod(n * (n + 1) // 2 for n in dims)
-    message = f"refusing an I-family table of {{}} pair products "
-    message += f"(dims {dims}, limit {I_TABLE_BOUND})"
-    check_work((rows, 1 << k), I_TABLE_BOUND, message)
-    strides = [math.prod(dims[j + 1 :]) for j in range(k)]
-    pairs = [np.array([(a, b) for a in range(n) for b in range(a, n)]) for n in dims]
-    choice = np.indices([len(p) for p in pairs]).reshape(k, rows)
-    masks = np.arange(1 << k)
-    index = np.zeros((2, rows, 1 << k), dtype=np.intp)
-    equal = np.zeros(rows, dtype=np.intp)
-    for j in range(k):
-        a, b = pairs[j][choice[j]].T
-        swapped = (masks >> j & 1).astype(bool)
-        index[0] += strides[j] * np.where(swapped, b[:, None], a[:, None])
-        index[1] += strides[j] * np.where(swapped, a[:, None], b[:, None])
-        equal += a == b
-    weights = np.ldexp(1.0, -(k + equal))
-    index.flags.writeable = False
-    weights.flags.writeable = False
-    return index, weights
+def _pair_order(n: int) -> np.ndarray:
+    """Positions a*n + b of one subsystem's copy pairs: a = b first, then
+    a < b, then the swapped pairs b > a in the same order."""
+    a, b = np.triu_indices(n, 1)
+    order = np.concatenate([np.arange(n) * (n + 1), a * n + b, b * n + a])
+    order.flags.writeable = False
+    return order
 
 
 def invariant_I_vector(psi: PureState) -> InvariantVector:
-    """Degree-4 invariants of every subset A: a weighted sum over index-pair
-    combinations of |sum over masks B of (-1)^|A cap B| psi_b0 psi_b1|^2,
-    the inner sums being one Walsh-Hadamard transform per combination.
+    """Degree-4 invariants of every subset A: I_A = ||(P_1 x ... x P_k)
+    (psi x psi)||^2, P_j the symmetric projector on the two copies of
+    subsystem j, the antisymmetric one for j in A.
 
-    Refused when the table of pair products, prod over j of n_j(n_j+1)/2
-    times 2^k entries, exceeds I_TABLE_BOUND.
+    One butterfly per subsystem maps its copy pairs to the a = b entries
+    and the sums and differences of the (a, b) and (b, a) entries, a < b.
+    Their squared moduli, halved off the diagonal, then sum to the
+    symmetric and antisymmetric norms of each subsystem in turn; the halves
+    keep integer coefficients exact.
+
+    Refused when prod over j of n_j(n_j+1)/2 times 2^k, which bounds the
+    prod n_j^2 two-copy entries and the 2^k values, exceeds I_TABLE_BOUND.
     """
-    index, weights = _pair_table(psi.dims)
-    products = psi.coeffs[index[0]] * psi.coeffs[index[1]]
-    inner = _walsh_hadamard(products)
-    values = weights @ (inner.real**2 + inner.imag**2)
-    return InvariantVector(psi.k, tuple(values.tolist()))
+    dims, k = psi.dims, psi.k
+    message = f"refusing an I-family evaluation of {{}} pair products "
+    message += f"(dims {dims}, limit {I_TABLE_BOUND})"
+    factors = (math.prod(n * (n + 1) // 2 for n in dims), 1 << k)
+    check_work(factors, I_TABLE_BOUND, message)
+    pairs = np.multiply.outer(psi.coeffs, psi.coeffs).reshape(dims * 2)
+    pairs = pairs.transpose([j + c * k for j in range(k) for c in (0, 1)])
+    for n in dims:
+        pairs = pairs.reshape(n * n, -1)[_pair_order(n)]
+        up, low = pairs[n : n * (n + 1) // 2], pairs[n * (n + 1) // 2 :]
+        up[:], low[:] = up + low, up - low
+        pairs = pairs.T
+    norms = pairs.real**2 + pairs.imag**2
+    for n in dims:
+        norms = norms.reshape(n * n, -1)
+        up, low = norms[n : n * (n + 1) // 2], norms[n * (n + 1) // 2 :]
+        norms = np.stack([norms[:n].sum(0) + 0.5 * up.sum(0), 0.5 * low.sum(0)], -1)
+    values = norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
+    return InvariantVector(k, tuple(values.tolist()))
 
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:

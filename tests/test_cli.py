@@ -268,6 +268,8 @@ def test_rank_oracle_has_no_samples_option(capsys):
 def test_unbounded_requests_exit_3(tmp_path, capsys):
     path = tmp_path / "q12.state"
     write_state_file(path, ghz_state(12))
+    nine = tmp_path / "q9.state"
+    write_state_file(nine, ghz_state(9))
     for argv in [
         ("dims", "--k", "3", "--m", "2000"),
         ("hilbert", "--k", "3", "--order", "2000"),
@@ -275,6 +277,7 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
         ("dims", "--local-dims", "2,2", "--m", "40"),
         ("rank-oracle", "--local-dims", "2,2,2", "--m", "5", "--seed", "1"),
         ("eval", "--invariant", "I", "--state", str(path), "--subset", "1,2"),
+        ("eval", "--invariant", "I", "--state", str(nine)),
         ("eval", "--invariant", "Q", "--state", str(path)),
         ("eval", "--invariant", "J", "--state", str(path), "--subset", "1"),
         ("eval", "--invariant", "eta", "--state", str(path), "--subset", "1"),

@@ -184,11 +184,26 @@ def test_I_vector_lu_invariant(dims, seed):
 
 
 def test_I_vector_refuses_large_states():
-    psi = PureState((2,) * 12, np.ones(1 << 12))
-    with pytest.raises(EnumerationBoundError):
-        invariant_I_vector(psi)
-    with pytest.raises(EnumerationBoundError):
-        meyer_wallach(psi.normalized())
+    # Past I_TABLE_BOUND = 2^21 by prod n_j(n_j+1)/2 * 2^k, the smallest at
+    # (1448,) with 2,098,152; see test_I_vector_admits_the_edge.
+    for dims in [(2,) * 12, (2,) * 9, (2,) * 7 + (3,), (1448,), (1,) * 22]:
+        psi = PureState(dims, np.ones(math.prod(dims)))
+        with pytest.raises(EnumerationBoundError):
+            invariant_I_vector(psi)
+        with pytest.raises(EnumerationBoundError):
+            meyer_wallach(psi.normalized())
+
+
+def test_I_vector_admits_the_edge():
+    # 1,679,616 for eight qubits and 2,095,256 for (1447,).
+    for dims in [(2,) * 8, (1447,)]:
+        vector = invariant_I_vector(random_pure_state(dims, seed=29))
+        assert sum(vector.values) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_I_vector_is_exact_on_integers():
+    psi = PureState((3, 1, 2), np.arange(6) + 1j)
+    assert invariant_I_vector(psi).values == (3697.0, 0, 0, 0, 0, 24.0, 0, 0)
 
 
 def test_invariant_J_examples():
@@ -512,7 +527,8 @@ def test_higher_invariant_ghz_anchor():
 
 def test_higher_invariant_matches_I_at_m2():
     for dims, seed in [
-        ((2, 2), 19), ((3, 3), 20), ((2, 2, 2), 21), ((2, 3), 22), ((5, 5, 5), 27)
+        ((2, 2), 19), ((3, 3), 20), ((2, 2, 2), 21), ((2, 3), 22), ((5, 5, 5), 27),
+        ((1, 4, 2), 30), ((2,) * 5, 31),
     ]:
         psi = random_pure_state(dims, seed)
         for subset in all_subsets(len(dims)):
