@@ -143,12 +143,10 @@ def _cmd_eval(args) -> int:
         value = eta(_as_density(state), subset)
     elif args.invariant == "Q":
         value = meyer_wallach(_as_pure(state))
-    elif args.invariant == "higher":
+    else:  # "higher", the last of the parser's choices
         if args.m is None:
             raise ValueError("--invariant higher requires --m")
         value = higher_invariant(_as_pure(state), subset, args.m)
-    else:
-        raise ValueError(f"unknown invariant {args.invariant!r}")
     print(_fmt(value))
     return 0
 

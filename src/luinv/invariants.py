@@ -2,43 +2,35 @@
 the degree-2 mixed-state family J_A, the subset-parity transform between
 them, derived entanglement measures, and the higher-order analogues.
 
-The higher-order invariant of a subset A at order m is the squared norm
-of (P_1 x ... x P_k) psi^m, where P_j = (1/m!) sum over sigma in S_m of
-chi(sigma) sigma permutes the m copies of subsystem j, chi the sign for j
-in A and 1 otherwise: one signed sum of axis transposes per subsystem
-but the last, whose projector the others already imply.  It equals the
-squared projection of psi^m onto the span of the explicit basis vectors
-that tests build as its oracle (higher_basis_vector in tests/oracles.py).
-
-The subset-parity transform is a Walsh-Hadamard transform over the 2^k
-subsets, computed by butterflies for j_from_i and i_from_j (exactly, on int
-and Fraction values).  The whole I-vector is one 2-point butterfly per
-subsystem on psi x psi, then one symmetric and one antisymmetric sum of
-squared moduli per subsystem.
+I_A and the higher-order invariants come from one kernel, an orbit sum per
+subsystem (checked in tests against higher_basis_vector in
+tests/oracles.py); Meyer-Wallach is read from the I-vector, the J-vector
+takes one pass per subsystem, and the I/J transform is a Walsh-Hadamard
+transform, exact on int and Fraction.
 
 Subsystem labels are 1-based (SubsetMask); basis-state indices are 0-based.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, check_work
-from .states import DensityMatrix, PureState, partial_trace, projector
-from .subsets import SubsetMask, all_subsets
+from .errors import check_work
+from .states import DensityMatrix, PureState, partial_trace
+from .subsets import SubsetMask
 
-# Largest work count of higher_invariant (k * m! * n^m, one more projector
-# than it writes; five qubits at m = 3 fit) and of the basis-vector oracle
-# higher_basis_vector in tests/oracles.py ((m!)^(k+1), and its n^m entries).
+# Largest work count of higher_invariant (k * m! * n^m, which bounds the m!
+# gathers of each subsystem's pass; five qubits at m = 3 fit) and of the
+# oracle higher_basis_vector in tests/oracles.py ((m!)^(k+1), and n^m).
 HIGHER_WORK_BOUND = 10**6
-# Largest I-family work count, prod over j of n_j(n_j+1)/2 times 2^k, a bound
-# on the prod n_j^2 entries of psi x psi and the 2^k values: eight qubits fit.
+# Largest I-family work count, prod over j of n_j(n_j+1)/2 times 2^k (eight
+# qubits fit), and J-vector entry count, prod over j of (n_j^2 + 1).
 I_TABLE_BOUND = 1 << 21
 
 
@@ -77,49 +69,77 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=16)
-def _pair_order(n: int) -> np.ndarray:
-    """Positions a*n + b of one subsystem's copy pairs: a = b first, then
-    a < b, then the swapped pairs b > a in the same order."""
-    a, b = np.triu_indices(n, 1)
-    order = np.concatenate([np.arange(n) * (n + 1), a * n + b, b * n + a])
-    order.flags.writeable = False
-    return order
+def _perm_sign(p: tuple[int, ...]) -> float:
+    return (-1.0) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_table(n: int, m: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """One S_m-orbit of m-tuples over range(n) per weakly increasing tuple x,
+    those without a repeated entry first: the flat positions of sigma x for
+    every sigma, even sigma first (shape (m!, orbits)), the number of orbits
+    without a repeat, and the weights 1/(m! |Stab x|)."""
+    tuples = np.arange(n).reshape(n, 1)
+    for _ in range(m - 1):  # each prefix, repeated over the values >= its last entry
+        counts = n - tuples[:, -1]
+        offsets = np.repeat(np.cumsum(counts) - n, counts)
+        tuples = np.column_stack([np.repeat(tuples, counts, 0), np.arange(len(offsets)) - offsets])
+    stabilizer = run = np.ones(len(tuples), dtype=np.int64)
+    for c in range(1, m):
+        run = np.where(tuples[:, c] == tuples[:, c - 1], run + 1, 1)
+        stabilizer = stabilizer * run
+    order = np.argsort(stabilizer > 1, kind="stable")
+    tuples, stabilizer = tuples[order], stabilizer[order]
+    perms = sorted(itertools.permutations(range(m)), key=_perm_sign, reverse=True)
+    positions = np.stack([tuples[:, list(p)] @ n ** np.arange(m - 1, -1, -1) for p in perms])
+    weights = 1.0 / (math.factorial(m) * stabilizer)
+    positions.flags.writeable = weights.flags.writeable = False
+    return positions, int((stabilizer == 1).sum()), weights
+
+
+def _projection_norms(psi: PureState, m: int) -> np.ndarray:
+    """||(P_1 x ... x P_k) psi^m||^2 for every subset A in binary order, m >= 2.
+    Per subsystem, the m! gathered copies of each orbit sum to plus (even
+    sigma) and minus (odd): plus + minus is its symmetric part, plus - minus
+    the antisymmetric part of an orbit without a repeat.  Their squared
+    moduli, weighted 1/(m! |Stab x|) and 1/m! (powers of two at m = 2, exact
+    on integers), sum to the two norms of each subsystem in turn."""
+    dims, k = psi.dims, psi.k
+    tables = [_orbit_table(n, m) for n in dims]
+    tensor = functools.reduce(np.multiply.outer, [psi.coeffs] * m).reshape(dims * m)
+    tensor = tensor.transpose([j + c * k for j in range(k) for c in range(m)])
+    for n, (positions, distinct, weights) in zip(dims, tables):
+        # One name for every stage, so that no block outlives its stage.
+        tensor = tensor.reshape(n**m, -1)
+        tensor = tensor[positions]
+        half = len(positions) // 2
+        for i in range(1, half):
+            tensor[0] += tensor[i]
+            tensor[half] += tensor[half + i]
+        anti = tensor[0, :distinct] - tensor[half, :distinct]
+        tensor[0] += tensor[half]
+        tensor[1, :distinct] = anti
+        del anti
+        tensor = tensor.reshape(-1, tensor.shape[-1])[: len(weights) + distinct].T
+    norms = tensor.real**2 + tensor.imag**2
+    for _, distinct, weights in tables:
+        norms = norms.reshape(len(weights) + distinct, -1)
+        anti = norms[len(weights) :].sum(0) / math.factorial(m)
+        norms = np.stack([weights @ norms[: len(weights)], anti], -1)
+    return norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
 
 
 def invariant_I_vector(psi: PureState) -> InvariantVector:
-    """Degree-4 invariants of every subset A: I_A = ||(P_1 x ... x P_k)
-    (psi x psi)||^2, P_j the symmetric projector on the two copies of
-    subsystem j, the antisymmetric one for j in A.
-
-    One butterfly per subsystem maps its copy pairs to the a = b entries
-    and the sums and differences of the (a, b) and (b, a) entries, a < b.
-    Their squared moduli, halved off the diagonal, then sum to the
-    symmetric and antisymmetric norms of each subsystem in turn; the halves
-    keep integer coefficients exact.
-
-    Refused when prod over j of n_j(n_j+1)/2 times 2^k, which bounds the
-    prod n_j^2 two-copy entries and the 2^k values, exceeds I_TABLE_BOUND.
+    """Degree-4 invariants I_A of every subset A: the projection kernel at
+    m = 2.  Refused when prod over j of n_j(n_j+1)/2 times 2^k, which bounds
+    the prod n_j^2 two-copy entries and the 2^k values, exceeds I_TABLE_BOUND.
     """
     dims, k = psi.dims, psi.k
     message = f"refusing an I-family evaluation of {{}} pair products "
     message += f"(dims {dims}, limit {I_TABLE_BOUND})"
     factors = (math.prod(n * (n + 1) // 2 for n in dims), 1 << k)
     check_work(factors, I_TABLE_BOUND, message)
-    pairs = np.multiply.outer(psi.coeffs, psi.coeffs).reshape(dims * 2)
-    pairs = pairs.transpose([j + c * k for j in range(k) for c in (0, 1)])
-    for n in dims:
-        pairs = pairs.reshape(n * n, -1)[_pair_order(n)]
-        up, low = pairs[n : n * (n + 1) // 2], pairs[n * (n + 1) // 2 :]
-        up[:], low[:] = up + low, up - low
-        pairs = pairs.T
-    norms = pairs.real**2 + pairs.imag**2
-    for n in dims:
-        norms = norms.reshape(n * n, -1)
-        up, low = norms[n : n * (n + 1) // 2], norms[n * (n + 1) // 2 :]
-        norms = np.stack([norms[:n].sum(0) + 0.5 * up.sum(0), 0.5 * low.sum(0)], -1)
-    values = norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
-    return InvariantVector(k, tuple(values.tolist()))
+    return InvariantVector(k, tuple(_projection_norms(psi, 2).tolist()))
 
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
@@ -139,9 +159,23 @@ def invariant_J(rho: DensityMatrix, subset: SubsetMask) -> float:
 
 
 def invariant_J_vector(rho: DensityMatrix) -> InvariantVector:
-    return InvariantVector(
-        rho.k, tuple(invariant_J(rho, s) for s in all_subsets(rho.k))
-    )
+    """J_A of every subset A: per subsystem, rho keeps that subsystem's n^2
+    entries and appends their trace; the squared moduli (rho is Hermitian)
+    then sum over the kept entries or take the traced one, in turn.  Refused
+    when prod over j of (n_j^2 + 1) entries exceeds I_TABLE_BOUND."""
+    dims, k = rho.dims, rho.k
+    message = f"refusing a J-vector of {{}} entries (dims {dims}, limit {I_TABLE_BOUND})"
+    check_work((n * n + 1 for n in dims), I_TABLE_BOUND, message)
+    tensor = rho.entries.reshape(dims * 2).transpose([j + c * k for j in range(k) for c in (0, 1)])
+    for n in dims:
+        kept = tensor.reshape(n * n, -1)
+        tensor = np.concatenate([kept, kept[:: n + 1].sum(0, keepdims=True)]).T
+    norms = tensor.real**2 + tensor.imag**2
+    for n in dims:
+        norms = norms.reshape(n * n + 1, -1)
+        norms = np.stack([norms[:-1].sum(0), norms[-1]], -1)
+    values = norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
+    return InvariantVector(k, tuple(values.tolist()))
 
 
 def j_from_i(ivec: InvariantVector) -> InvariantVector:
@@ -179,38 +213,16 @@ def eta(rho: DensityMatrix, subset: SubsetMask) -> float:
 
 
 def meyer_wallach(psi: PureState) -> float:
-    """Global entanglement measure 2 - (2/k) sum_i J_{i}.
-
-    Also evaluated through the I-family as sum_A (4|A|/k) I_A; the two
-    routes must agree, and the purity route is returned.
-    """
+    """Global entanglement measure 2 - (2/k) sum_i J_{i}, read from the
+    I-vector as sum over A of (4|A|/k) I_A."""
     if abs(math.sqrt(psi.norm_squared()) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    k = psi.k
-    ivec = invariant_I_vector(psi)
-    i_form = sum(4.0 * len(s) / k * ivec[s] for s in all_subsets(k))
-    rho = projector(psi)
-    purity_form = 2.0 - 2.0 / k * sum(
-        invariant_J(rho, SubsetMask.of(k, [i])) for i in range(1, k + 1)
-    )
-    if abs(purity_form - i_form) > 1e-9:
-        raise ConsistencyError(
-            f"purity form {purity_form} and component form {i_form} disagree"
-        )
-    return purity_form
+    values = invariant_I_vector(psi).values
+    return sum(4.0 * bits.bit_count() / psi.k * value for bits, value in enumerate(values))
 
 
 # ---------------------------------------------------------------------------
-# Basis vectors of the invariant subspaces and higher-order invariants
-
-
-def _perm_sign(p: tuple[int, ...]) -> float:
-    sign = 1.0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+# Higher-order invariants
 
 
 def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
@@ -222,15 +234,11 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     The admissible basis vectors (the test oracle higher_basis_vector)
     span the image of Sym composed with the P_j; each P_j is central in the
     group algebra, so it commutes with Sym, and psi^m is already symmetric.
-    At m = 2 this is I_A.
 
-    The projector of subsystem k is skipped: psi^m is fixed by permuting
-    the copies of every subsystem at once, so sigma on subsystem k acts on
-    (P_1 x ... x P_(k-1)) psi^m as the product of the other characters at
-    sigma^-1, which is chi_k(sigma) since the subset has even size; P_k is
-    the identity there.  So at most (k - 1) * m! * n^m entries are written
-    (n the total dimension), but the refusal still counts k * m! * n^m (k
-    at least 1) against HIGHER_WORK_BOUND.
+    One entry of the projection kernel; at m = 1 every P_j is the identity.
+    1-dimensional subsystems, where P_j is 1 or 0, are dropped, so the 2^k
+    values stay within the n^m (n the total dimension) of the refusal's count
+    k * m! * n^m (k at least 1) against HIGHER_WORK_BOUND.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
@@ -245,19 +253,11 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         f"refusing higher-order evaluation at m={m}, total dimension {n}: k * m! * n^m "
         f"exceeds the limit of {HIGHER_WORK_BOUND} tensor entries written",
     )
-    power = psi.coeffs
-    for _ in range(m - 1):
-        power = np.multiply.outer(power, psi.coeffs)
-    power = power.reshape(psi.dims * m)
-    perms = list(itertools.permutations(range(m)))
-    for j in range(1, k):
-        copies = [c * k + j - 1 for c in range(m)]
-        total = np.zeros_like(power)
-        for sigma in perms:
-            axes = list(range(power.ndim))
-            for c, s in zip(copies, sigma):
-                axes[c] = copies[s]
-            sign = _perm_sign(sigma) if j in subset else 1.0
-            total += sign * power.transpose(axes)
-        power = total / math.factorial(m)
-    return float(np.vdot(power, power).real)
+    if m == 1:
+        return psi.norm_squared()
+    if any(psi.dims[j - 1] == 1 for j in subset):
+        return 0.0
+    kept = [j for j in range(1, k + 1) if psi.dims[j - 1] > 1]
+    bits = sum(1 << i for i, j in enumerate(kept) if j in subset)
+    reduced = PureState(tuple(psi.dims[j - 1] for j in kept), psi.coeffs)
+    return float(_projection_norms(reduced, m)[bits])

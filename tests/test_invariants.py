@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luinv import (
+    DensityMatrix,
     EnumerationBoundError,
     InvariantVector,
     PureState,
@@ -217,6 +218,30 @@ def test_invariant_J_examples():
     assert invariant_J(projector(psi), SubsetMask.of(2, [])) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+@settings(deadline=None, max_examples=40)
+@given(dims=small_dims, seed=seeds)
+def test_J_vector_matches_single_traces(dims, seed):
+    # invariant_J takes one partial trace per subset: the J-vector's oracle.
+    rho = random_density_matrix(dims, seed)
+    jvec = invariant_J_vector(rho)
+    for subset in all_subsets(len(dims)):
+        assert jvec[subset] == pytest.approx(invariant_J(rho, subset), abs=1e-12)
+
+
+def test_J_vector_admission_edge():
+    # prod (n_j^2 + 1) entries against I_TABLE_BOUND = 2^21: 2^21 for
+    # (1,)*21 and 5^9 = 1,953,125 for nine qubits fit; 5^10 for ten qubits
+    # and 1449^2 + 1 = 2,099,602 do not.
+    ones = invariant_J_vector(DensityMatrix((1,) * 21, np.ones((1, 1))))
+    assert set(ones.values) == {1.0}
+    nine = invariant_J_vector(projector(random_pure_state((2,) * 9, seed=32)))
+    assert nine[0] == pytest.approx(1.0) and nine[(1 << 9) - 1] == pytest.approx(1.0)
+    with pytest.raises(EnumerationBoundError):
+        invariant_J_vector(projector(random_pure_state((2,) * 10, seed=33)))
+    with pytest.raises(EnumerationBoundError):
+        invariant_J_vector(DensityMatrix((1449,), np.eye(1449) / 1449))
 
 
 def test_transform_bell_and_indicator():
@@ -545,6 +570,21 @@ def test_higher_invariant_m1_is_norm():
     assert higher_invariant(scaled, SubsetMask.of(2, []), 1) == pytest.approx(
         scaled.norm_squared(), abs=1e-9
     )
+    # Admitted at 15 * 2^15; one value per subset would need 2^30 entries.
+    fifteen = random_pure_state((2,) * 15, seed=34)
+    assert higher_invariant(fifteen, SubsetMask.of(15, [1, 2]), 1) == pytest.approx(1.0)
+
+
+def test_higher_invariant_drops_one_dimensional_subsystems():
+    # A 1-dimensional subsystem adds nothing at m >= 2 (the antisymmetrizer
+    # vanishes there), so forty of them give one value, not 2^40.
+    psi = random_pure_state((2, 3), seed=35)
+    padded = PureState((1, 2, 1, 3) + (1,) * 40, psi.coeffs)
+    for m in (2, 3):
+        assert higher_invariant(padded, SubsetMask.of(44, [2, 4]), m) == pytest.approx(
+            higher_invariant(psi, SubsetMask.of(2, [1, 2]), m), abs=1e-12
+        )
+        assert higher_invariant(padded, SubsetMask.of(44, [1, 2]), m) == 0.0
 
 
 def test_higher_invariant_m3_sum_bound():
