@@ -19,7 +19,7 @@ from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
 from .free_group_census import conjugation_orbit_count, count_subgroup_classes
 from .series import euler_exponents, hilbert_series
-from .subsets import SubsetMask, all_subsets
+from .subsets import SubsetMask
 
 if TYPE_CHECKING:  # the numpy tier is imported by the commands that use it
     from .states import DensityMatrix, PureState
@@ -43,10 +43,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _parse_subset(text: str, k: int) -> SubsetMask:
     """Comma-separated distinct labels; the empty string is the empty subset."""
-    if text == "":
-        return SubsetMask.of(k)
     try:
-        members = [int(tok) for tok in text.split(",")]
+        members = [int(tok) for tok in text.split(",")] if text else []
     except ValueError as exc:
         raise ValueError(f"bad subset list {text!r}") from exc
     if len(set(members)) != len(members):
@@ -156,18 +154,15 @@ def _cmd_transform(args) -> int:
     from .states import projector, read_state_file
 
     psi = _as_pure(read_state_file(args.state))
-    k = psi.k
     ivec = invariant_I_vector(psi)
     jvec = invariant_J_vector(projector(psi))
     forward = j_from_i(ivec)
     backward = i_from_j(jvec)
-    residual = max(
-        max(abs(a - b) for a, b in zip(forward.values, jvec.values)),
-        max(abs(a - b) for a, b in zip(backward.values, ivec.values)),
-    )
+    pairs = ((forward, jvec), (backward, ivec))
+    residual = max(abs(a - b) for x, y in pairs for a, b in zip(x.values, y.values))
     print("# subset\tI\tJ")
-    for s in all_subsets(k):
-        print(f"{s}\t{_fmt(ivec[s])}\t{_fmt(jvec[s])}")
+    for bits, (i_value, j_value) in enumerate(zip(ivec.values, jvec.values)):
+        print(f"{SubsetMask(psi.k, bits)}\t{_fmt(i_value)}\t{_fmt(j_value)}")
     print(f"# max_residual\t{residual:.3e}")
     return 0
 

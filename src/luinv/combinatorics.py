@@ -50,7 +50,9 @@ def _partition_tuples(m: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 
 
 def partitions_of(m: int) -> list[Partition]:
-    """All partitions of m in reverse-lexicographic order, (m) first."""
+    """All partitions of m in reverse-lexicographic order, (m) first.  No
+    work bound: the p(m) partitions follow the caller's m.  The CLI reaches
+    it only behind CHARACTER_DEGREE_BOUND (`char-table`, `dims --local-dims`)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     return [Partition(t) for t in _partition_tuples(m, m)]

@@ -36,8 +36,7 @@ I_TABLE_BOUND = 1 << 21
 
 @dataclass(frozen=True)
 class InvariantVector:
-    """Values indexed by all 2^k subsets in binary order (bit j-1 of the
-    position encodes membership of subsystem j)."""
+    """Values of all 2^k subsets, indexed by their bit masks (SubsetMask)."""
 
     k: int
     values: tuple
@@ -47,8 +46,7 @@ class InvariantVector:
             raise ValueError(f"need 2^{self.k} values, got {len(self.values)}")
 
     def __getitem__(self, subset: SubsetMask | int):
-        bits = subset.bits if isinstance(subset, SubsetMask) else subset
-        return self.values[bits]
+        return self.values[subset]
 
 
 def _require_subset(state_k: int, subset: SubsetMask) -> None:

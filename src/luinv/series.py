@@ -108,7 +108,9 @@ def euler_exponents(s: PowerSeries, k: int | None = None) -> GeneratorCounts:
     b_j*a_(n-j) is the t^n coefficient of t*s'/s, which is the sum of d*u_d
     over the divisors d of n; so u_n = (b_n - sum over proper divisors d of
     d*u_d) / n.  An inexact division or a negative exponent raises
-    IntegralityError naming the offending degree.
+    IntegralityError naming the offending degree.  No work bound: the
+    order^2 steps follow the caller's series.  The CLI reaches it only
+    behind SERIES_WORK_BOUND (`hilbert`).
     """
     a = s.coeffs
     if a[0] != 1:
@@ -134,7 +136,8 @@ def expand_euler_product(counts: GeneratorCounts, order: int) -> PowerSeries:
 
     Each factor is multiplied in from its binomial series
     sum over j of C(u+j-1, j) * t^(d*j), with no logarithm or divisor sum,
-    so expanding the exponents checks the inversion independently.
+    so expanding the exponents checks the inversion independently.  No
+    work bound: the work follows the caller's order.  The CLI never calls it.
     """
     coeffs = [1] + [0] * order
     for d, u in enumerate(counts.u[:order], start=1):

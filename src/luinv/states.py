@@ -15,7 +15,6 @@ integer stand-in for the system density matrix and one sum per column.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -40,8 +39,6 @@ STALL = 2
 RANK_GATHER_BOUND = 20_000_000
 # Largest projector psi psi* built, in matrix entries; eleven qubits fit.
 PROJECTOR_ENTRY_BOUND = 1 << 22
-
-_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 @dataclass(frozen=True)
@@ -129,26 +126,20 @@ def partial_trace(rho: DensityMatrix, traced: SubsetMask) -> DensityMatrix:
     labels, keeping the rest.
 
     Tracing out nothing returns rho itself; tracing out everything returns
-    the 1x1 matrix holding the trace.
+    the 1x1 matrix holding the trace.  Only dimensions > 1 get einsum labels.
     """
     if traced.k != rho.k:
         raise ValueError(f"subset is over {traced.k} labels, state has {rho.k}")
-    axes = [j - 1 for j in traced]
-    if not axes:
+    bits = traced.bits
+    if not bits:
         return rho
-    k = rho.k
-    if 2 * k > len(_LETTERS):
-        raise ValueError("too many subsystems for the index alphabet")
-    row = list(_LETTERS[:k])
-    col = list(_LETTERS[k : 2 * k])
-    for ax in axes:
-        col[ax] = row[ax]
-    keep = [ax for ax in range(k) if ax not in axes]
-    out_letters = "".join(row[ax] for ax in keep) + "".join(col[ax] for ax in keep)
-    sub = f"{''.join(row)}{''.join(col)}->{out_letters}"
-    tensor = rho.entries.reshape(rho.dims + rho.dims)
-    reduced = np.einsum(sub, tensor)
-    new_dims = tuple(rho.dims[ax] for ax in keep)
+    axes = [ax for ax, n in enumerate(rho.dims) if n > 1]
+    shape = [rho.dims[ax] for ax in axes]
+    col = [i if bits >> ax & 1 else len(axes) + i for i, ax in enumerate(axes)]
+    keep = [i for i, ax in enumerate(axes) if not bits >> ax & 1]
+    out = keep + [len(axes) + i for i in keep]
+    reduced = np.einsum(rho.entries.reshape(shape * 2), list(range(len(axes))) + col, out)
+    new_dims = tuple(n for ax, n in enumerate(rho.dims) if not bits >> ax & 1)
     side = math.prod(new_dims)
     return DensityMatrix(new_dims, reduced.reshape(side, side))
 

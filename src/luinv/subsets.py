@@ -8,46 +8,56 @@ from typing import Iterable, Iterator
 
 @dataclass(frozen=True)
 class SubsetMask:
-    """A subset of the subsystem labels {1, ..., k}."""
+    """A subset of the labels {1, ..., k}, stored as its bit mask: bit j-1 is
+    label j.  The mask (also __index__) is its position in an InvariantVector."""
 
     k: int
-    members: frozenset[int]
+    bits: int
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        if not self.members <= set(range(1, self.k + 1)):
-            raise ValueError(f"members {sorted(self.members)} not within 1..{self.k}")
+        if not 0 <= self.bits < 1 << self.k:
+            raise ValueError(f"bit mask {self.bits} not within 0..{(1 << self.k) - 1}")
 
     @classmethod
     def of(cls, k: int, members: Iterable[int] = ()) -> "SubsetMask":
-        return cls(k, frozenset(members))
+        labels = frozenset(members)
+        subset = cls(k, sum(1 << (j - 1) for j in labels if j in range(1, k + 1)))
+        if len(subset) != len(labels):
+            raise ValueError(f"members {sorted(labels)} not within 1..{k}")
+        return subset
 
     @classmethod
     def from_bits(cls, k: int, bits: int) -> "SubsetMask":
-        """Subset from a bitmask; bit j-1 encodes membership of label j."""
-        return cls(k, frozenset(j for j in range(1, k + 1) if bits >> (j - 1) & 1))
+        return cls(k, bits)
 
     @property
-    def bits(self) -> int:
-        return sum(1 << (j - 1) for j in self.members)
+    def members(self) -> frozenset[int]:
+        return frozenset(self)
+
+    def __index__(self) -> int:
+        return self.bits
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __contains__(self, j: int) -> bool:
-        return j in self.members
+        return j in range(1, self.k + 1) and bool(self.bits >> (j - 1) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        bits = self.bits
+        while bits:  # lowest set bit first
+            yield (bits & -bits).bit_length()
+            bits &= bits - 1
 
     def is_full(self) -> bool:
-        return len(self.members) == self.k
+        return self.bits == (1 << self.k) - 1
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(j) for j in sorted(self.members)) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 def all_subsets(k: int) -> list[SubsetMask]:
     """All 2^k subsets in binary order: bitmask 0, 1, ..., 2^k - 1."""
-    return [SubsetMask.from_bits(k, bits) for bits in range(1 << k)]
+    return [SubsetMask(k, bits) for bits in range(1 << k)]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from typing import Sequence
 
 import numpy as np
@@ -29,11 +30,13 @@ import numpy as np
 from luinv import DensityMatrix, PureState, SubsetMask
 from luinv.errors import check_work
 from luinv.invariants import HIGHER_WORK_BOUND, _perm_sign, _require_subset
-from luinv.states import _LETTERS, HERMITICITY_TOL, _orbit_gather_index
+from luinv.states import HERMITICITY_TOL, _orbit_gather_index
 
 PURIFY_CUTOFF = 1e-12
 # Singular values above this fraction of the largest count toward svd_rank.
 SVD_RANK_TOL = 1e-8
+# einsum index letters of permutation_contraction, one per (copy, subsystem).
+_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:

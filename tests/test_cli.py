@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from luinv import DensityMatrix, ghz_state, write_state_file
+from luinv import DensityMatrix, PureState, SubsetMask, ghz_state, write_state_file
 from luinv.cli import main
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -243,6 +243,30 @@ def test_transform_output(tmp_path, capsys):
     assert lines[4] == "(1,2)\t0.250000000\t1.000000000"
     assert lines[5].startswith("# max_residual\t")
 
+    # Twelve 1-dimensional systems: 2^12 rows by bit position, then the residual.
+    ones = tmp_path / "ones.state"
+    write_state_file(ones, PureState((1,) * 12, np.array([1.0])))
+    code, out, _ = run(capsys, "transform", "--state", str(ones))
+    assert code == 0
+    expected = ["# subset\tI\tJ"]
+    for bits in range(1 << 12):
+        i_value = "1.000000000" if bits == 0 else "0.000000000"
+        expected.append(f"{SubsetMask.from_bits(12, bits)}\t{i_value}\t1.000000000")
+    expected.append("# max_residual\t0.000e+00")
+    assert out.splitlines() == expected
+    assert len(expected) == 4098
+
+
+def test_eval_J_and_eta_past_26_subsystems(tmp_path, capsys):
+    # 29 one-dimensional subsystems and a qubit: only the qubit is labelled.
+    path = tmp_path / "wide.state"
+    write_state_file(path, PureState((1,) * 29 + (2,), np.array([0.6, 0.8])))
+    for invariant, expected in [("J", "1.000000000\n"), ("eta", "0.000000000\n")]:
+        code, out, _ = run(
+            capsys, "eval", "--invariant", invariant, "--state", str(path), "--subset", "30"
+        )
+        assert (code, out) == (0, expected)
+
 
 def test_rank_oracle(capsys):
     code, out, _ = run(
@@ -341,8 +365,6 @@ def test_byte_determinism(tmp_path, capsys):
     state = tmp_path / "psi.state"
     rng = np.random.default_rng(3)
     z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    from luinv import PureState
-
     write_state_file(state, PureState((3, 3), z / np.linalg.norm(z)))
     outputs = set()
     for _ in range(2):

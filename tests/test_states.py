@@ -130,6 +130,35 @@ def test_partial_trace_rejects_bad_labels():
         partial_trace(rho, SubsetMask.of(3, [3]))
 
 
+def _trace_axis_by_axis(rho: DensityMatrix, traced: SubsetMask) -> np.ndarray:
+    tensor = rho.entries.reshape(rho.dims * 2)
+    for j in sorted(traced, reverse=True):  # highest label first keeps the lower axes
+        tensor = np.trace(tensor, axis1=j - 1, axis2=j - 1 + tensor.ndim // 2)
+    side = math.prod(tensor.shape[: tensor.ndim // 2])
+    return tensor.reshape(side, side)
+
+
+def test_partial_trace_matches_axis_by_axis_trace():
+    for dims in [(2, 1, 3), (1, 2, 1, 2), (3, 1), (1, 1)]:
+        rho = random_density_matrix(dims, seed=len(dims))
+        for bits in range(1 << len(dims)):
+            traced = SubsetMask.from_bits(len(dims), bits)
+            reduced = partial_trace(rho, traced)
+            assert reduced.dims == tuple(n for j, n in enumerate(dims, 1) if j not in traced)
+            assert np.abs(reduced.entries - _trace_axis_by_axis(rho, traced)).max() < 1e-12
+
+
+def test_partial_trace_past_26_subsystems_of_dimension_one():
+    # 29 one-dimensional subsystems and a qubit: the einsum labels only the qubit.
+    rho = projector(PureState((1,) * 29 + (2,), np.array([0.6, 0.8])))
+    kept = partial_trace(rho, SubsetMask.of(30, [30]))
+    assert kept.dims == (1,) * 29
+    assert np.abs(kept.entries - 1.0).max() < 1e-12
+    qubit = partial_trace(rho, SubsetMask.of(30, range(1, 30)))
+    assert qubit.dims == (2,)
+    assert np.abs(qubit.entries - [[0.36, 0.48], [0.48, 0.64]]).max() < 1e-12
+
+
 def test_purify_pure_state_has_trivial_environment():
     phi = random_pure_state((2, 2), seed=7)
     psi = purify(projector(phi))
