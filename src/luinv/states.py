@@ -6,17 +6,15 @@ last subsystem varying fastest, i.e. C-order flattening of an array of
 shape dims.
 
 The rank oracle evaluates one permutation contraction per conjugation
-orbit of S_m on S_m^k, exactly mod a prime.  The orbit representatives come
-from the census walk of free_group_census; the gather index of each is
-built once per (dims, m), and a sample is then one gather from a random
-integer stand-in for the system density matrix and one sum per column.
+orbit of S_m on S_m^k, exactly mod a prime, on the orbit representatives of
+the census walk of free_group_census: the m copies of a random integer
+stand-in for the system density matrix are joined one einsum at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,13 +28,14 @@ HERMITICITY_TOL = 1e-12
 # Most negative eigenvalue, relative to the largest, and excess trace that
 # DensityMatrix.validate_physical accepts.
 PHYSICAL_TOL = 1e-10
-# The rank oracle's prime, below 2^31: a product of two residues, or a sum
-# of up to RANK_GATHER_BOUND of them, fits in int64.
-PRIME = 2_147_483_629
 # Samples that may fail to raise the rank before the rank oracle stops.
 STALL = 2
-# Work bound of the rank oracle: entries sampled or gathered, all samples.
+# Work bound of the rank oracle: entries sampled or visited, all samples.
 RANK_GATHER_BOUND = 20_000_000
+# The rank oracle's prime, 2^19 - 1.  An einsum step sums at most n^2 <=
+# RANK_GATHER_BOUND / 3 products of two residues, and RANK_GATHER_BOUND *
+# (PRIME - 1)**2 < 2**63, so every step is exact in int64.
+PRIME = 2**19 - 1
 # Largest projector psi psi* built, in matrix entries; eleven qubits fit.
 PROJECTOR_ENTRY_BOUND = 1 << 22
 
@@ -51,9 +50,7 @@ class PureState:
             raise ValueError("dimensions must be positive")
         coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
         if coeffs.size != math.prod(self.dims):
-            raise ValueError(
-                f"expected {math.prod(self.dims)} coefficients, got {coeffs.size}"
-            )
+            raise ValueError(f"expected {math.prod(self.dims)} coefficients, got {coeffs.size}")
         if not np.all(np.isfinite(coeffs.view(float))):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
@@ -163,38 +160,40 @@ def ghz_state(k: int) -> PureState:
 # The rank oracle
 
 
-@lru_cache(maxsize=16)
-def _orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
-    """Flat indices into rho_sys, shape (orbits, m, n_sys^m).
+def _orbit_steps(sys_dims: tuple[int, ...], m: int) -> list:
+    """Per orbit representative taus, the einsum steps (kept, legs, out)
+    that join copies 0..m-1 of rho_sys in order.  Copy j has row leg (j, l)
+    and column leg (taus[l][j], l) on subsystem l, the environment wired
+    straight through.  Step j keeps the legs a later copy carries and sums
+    the rest, all of them copy j's: at most n^2 products.  Only the w
+    subsystems of dimension > 1 get legs; row leg i of copy c is label
+    c*w + i, below 52 as n^m <= RANK_GATHER_BOUND < 2^25."""
+    axes = [l for l, n in enumerate(sys_dims) if n > 1]
+    rows = [[c * len(axes) + i for i in range(len(axes))] for c in range(m)]
+    plans = []
+    for taus in orbit_representatives(len(sys_dims), m):
+        legs = [rows[j] + [rows[taus[l][j]][i] for i, l in enumerate(axes)] for j in range(m)]
+        last = {leg: j for j in range(m) for leg in legs[j]}
+        steps, kept = [], []
+        for j in range(m):
+            out = [leg for leg in dict.fromkeys(kept + legs[j]) if last[leg] > j]
+            steps.append((kept, legs[j], out))
+            kept = out
+        plans.append(steps)
+    return plans
 
-    For representative taus and a system multi-index x = (x_0..x_(m-1)) over
-    m copies, entry [o, j, x] is the position of rho_sys[x_j, y_j], where
-    y_j takes its subsystem-l digit from copy taus[l][j] of x.  The product
-    over j is the entry of rho_sys^(tensor m) at (x, y), and its sum over x
-    is the contraction of taus with the environment wired straight through.
-    """
-    reps = np.array(orbit_representatives(len(sys_dims), m), dtype=np.intp)
-    n_sys = math.prod(sys_dims)
-    powers = n_sys ** np.arange(m - 1, -1, -1)
-    grid = np.arange(n_sys**m) // powers[:, None] % n_sys  # grid[j]: copy-j flat index
-    strides = [math.prod(sys_dims[l + 1 :]) for l in range(len(sys_dims))]
-    ys = np.zeros((len(reps), m, n_sys**m), dtype=np.intp)
-    for l, stride in enumerate(strides):
-        digit = grid // stride % sys_dims[l]  # digit[j] = subsystem-l digit of copy j
-        ys += digit[reps[:, l, :]] * stride
-    index = grid * n_sys + ys
-    index.flags.writeable = False
-    return index
 
-
-def _orbit_contractions(rho_sys: np.ndarray, sys_dims: tuple[int, ...], m: int) -> np.ndarray:
-    """One contraction mod PRIME per orbit, of an int64 rho_sys with entries mod PRIME."""
-    index = _orbit_gather_index(sys_dims, m)
-    flat = rho_sys.reshape(-1)
-    product = flat[index[:, 0]]
-    for j in range(1, m):
-        product = product * flat[index[:, j]] % PRIME
-    return product.sum(axis=1) % PRIME
+def _orbit_contractions(rho_sys: np.ndarray, sys_dims: tuple[int, ...], plans) -> np.ndarray:
+    """One contraction mod PRIME per orbit of _orbit_steps, of an int64
+    rho_sys with entries mod PRIME."""
+    t = rho_sys.reshape([n for n in sys_dims if n > 1] * 2)
+    one, row = np.ones((), dtype=np.int64), []
+    for steps in plans:
+        value = one
+        for kept, legs, out in steps:
+            value = np.einsum(value, kept, t, legs, out) % PRIME
+        row.append(value)
+    return np.array(row)
 
 
 def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
@@ -208,13 +207,14 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
     stable_dimension(k+1, m) (checked).
     Each contraction is an integer polynomial in the entries of rho_sys,
     and Hermitian matrices are a real form of M_n(C), so a sample is a
-    uniform random integer matrix mod PRIME.  The rank mod PRIME never
-    exceeds the true rank; a sample fails to raise a lower rank with
-    probability at most about m/PRIME (Schwartz-Zippel).  Sampling stops
-    once STALL samples have not raised the rank, or at the column count.
-    Refused before the census walk past the census's tuple bound, or past
-    RANK_GATHER_BOUND entries over columns + STALL samples of max(n^2,
-    columns x m x n^m) entries sampled or gathered (none at m = 0).
+    uniform random integer matrix mod PRIME = 2^19 - 1.  The rank mod PRIME
+    never exceeds the true rank; a sample fails to raise a lower rank with
+    probability at most about m/PRIME, or m * 1.9e-6 (Schwartz-Zippel).
+    Sampling stops once STALL samples have not raised the rank, or at the
+    column count.  Refused before the census walk past the census's tuple
+    bound, or past RANK_GATHER_BOUND entries over columns + STALL samples
+    of max(n^2, columns x m x n^m) entries sampled or visited (none at
+    m = 0), as each of a contraction's m steps visits at most n^m tuples.
     """
     sys_dims = tuple(dims)
     if m < 0:
@@ -230,15 +230,15 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
         f"contractions of {m} factors over {n_sys}^{m} indices "
         f"(limit {RANK_GATHER_BOUND} sampled or gathered entries)",
     )
-    n_orbits = len(orbit_representatives(k, m))
-    if n_orbits != columns:
-        raise ConsistencyError(f"{n_orbits} conjugation orbits, stable_dimension gives {columns}")
+    plans = _orbit_steps(sys_dims, m)
+    if len(plans) != columns:
+        raise ConsistencyError(f"{len(plans)} conjugation orbits, stable_dimension gives {columns}")
     if m == 0:
         return 1  # the single empty contraction is the constant 1
     rng = np.random.default_rng(seed)
     basis, failed = [], 0  # basis: (pivot, echelon row with 1 at the pivot)
     while len(basis) < columns and failed < STALL:
-        row = _orbit_contractions(rng.integers(0, PRIME, (n_sys, n_sys)), sys_dims, m)
+        row = _orbit_contractions(rng.integers(0, PRIME, (n_sys, n_sys)), sys_dims, plans)
         for pivot, echelon in basis:
             row = (row - row[pivot] * echelon) % PRIME
         pivot = int(np.argmax(row != 0))
@@ -255,36 +255,36 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
 
 def read_state_file(path) -> PureState | DensityMatrix:
     """Parse the text state format: a `pure`/`mixed` line, a `dims` line,
-    then one `re im` coefficient per line; `#` lines are comments."""
+    then one `re im` coefficient per line; `#` lines are comments.  Refused
+    unread past PROJECTOR_ENTRY_BOUND coefficients (n pure, n^2 mixed)."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [
-            line.strip()
-            for line in handle
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if len(lines) < 2:
-        raise ValueError("state file needs a kind line and a dims line")
-    kind = lines[0]
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"unknown state kind {kind!r}")
-    dims_tokens = lines[1].split()
-    if dims_tokens[0] != "dims" or len(dims_tokens) < 2:
-        raise ValueError("second line must be `dims n1 n2 ...`")
-    dims = tuple(int(tok) for tok in dims_tokens[1:])
-    values = []
-    for line in lines[2:]:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(f"expected `re im`, got {line!r}")
-        values.append(complex(float(tokens[0]), float(tokens[1])))
-    n = math.prod(dims)
+        lines = (line for line in map(str.strip, handle) if line and not line.startswith("#"))
+        kind, dims_line = next(lines, None), next(lines, None)
+        if dims_line is None:
+            raise ValueError("state file needs a kind line and a dims line")
+        if kind not in ("pure", "mixed"):
+            raise ValueError(f"unknown state kind {kind!r}")
+        dims_tokens = dims_line.split()
+        if dims_tokens[0] != "dims" or len(dims_tokens) < 2:
+            raise ValueError("second line must be `dims n1 n2 ...`")
+        dims = tuple(int(tok) for tok in dims_tokens[1:])
+        if any(n < 1 for n in dims):
+            raise ValueError("dimensions must be positive")
+        shape = dims * (1 if kind == "pure" else 2)
+        message = f"refusing a {kind} state file of {{}} coefficients (limit {PROJECTOR_ENTRY_BOUND})"
+        check_work(shape, PROJECTOR_ENTRY_BOUND, message)
+        values, count = np.empty(math.prod(shape), dtype=complex), 0
+        for count, line in enumerate(lines, 1):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ValueError(f"expected `re im`, got {line!r}")
+            if count <= values.size:
+                values[count - 1] = complex(float(tokens[0]), float(tokens[1]))
+    if count != values.size:
+        raise ValueError(f"expected {values.size} {'coefficients' if kind == 'pure' else 'entries'}, got {count}")
     if kind == "pure":
-        if len(values) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(values)}")
-        return PureState(dims, np.array(values))
-    if len(values) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(values)}")
-    return DensityMatrix(dims, np.array(values).reshape(n, n))
+        return PureState(dims, values)
+    return DensityMatrix(dims, values.reshape(math.prod(dims), -1))
 
 
 def write_state_file(path, state: PureState | DensityMatrix) -> None:

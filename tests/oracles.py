@@ -6,10 +6,13 @@ way, or a way to build test states:
 - higher_basis_vector: the explicit symmetric/alternating basis vectors
   whose span higher_invariant projects onto;
 - permutation_contraction: one einsum per permutation tuple, against which
-  the rank oracle's gathered orbit columns are checked;
-- svd_rank: the numerical rank of the same orbit columns on complex pure
-  states, against which the exact rank mod a prime is checked at small
-  sizes;
+  the gathered orbit columns are checked;
+- orbit_gather_index and gathered_contractions: every orbit column as one
+  gather over all n^m system multi-indices, against which the rank
+  oracle's einsum fold is checked;
+- svd_rank: the numerical rank of the gathered orbit columns on complex
+  pure states, against which the exact rank mod a prime is checked at
+  small sizes;
 - purify: a system+environment pure state whose environment trace is a
   given density matrix;
 - random_unitary, apply_local_unitaries, product_state and
@@ -20,6 +23,7 @@ Tests import this module by name, with the tests directory on sys.path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -30,7 +34,8 @@ import numpy as np
 from luinv import DensityMatrix, PureState, SubsetMask
 from luinv.errors import check_work
 from luinv.invariants import HIGHER_WORK_BOUND, _perm_sign, _require_subset
-from luinv.states import HERMITICITY_TOL, _orbit_gather_index
+from luinv.free_group_census import orbit_representatives
+from luinv.states import HERMITICITY_TOL
 
 PURIFY_CUTOFF = 1e-12
 # Singular values above this fraction of the largest count toward svd_rank.
@@ -152,11 +157,35 @@ def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> c
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
+@functools.lru_cache(maxsize=16)
+def orbit_gather_index(sys_dims: tuple[int, ...], m: int) -> np.ndarray:
+    """Flat indices into rho_sys, shape (orbits, m, n_sys^m).
+
+    For representative taus and a system multi-index x = (x_0..x_(m-1)) over
+    m copies, entry [o, j, x] is the position of rho_sys[x_j, y_j], where
+    y_j takes its subsystem-l digit from copy taus[l][j] of x.  The product
+    over j is the entry of rho_sys^(tensor m) at (x, y), and its sum over x
+    is the contraction of taus with the environment wired straight through.
+    """
+    reps = np.array(orbit_representatives(len(sys_dims), m), dtype=np.intp)
+    n_sys = math.prod(sys_dims)
+    powers = n_sys ** np.arange(m - 1, -1, -1)
+    grid = np.arange(n_sys**m) // powers[:, None] % n_sys  # grid[j]: copy-j flat index
+    strides = [math.prod(sys_dims[l + 1 :]) for l in range(len(sys_dims))]
+    ys = np.zeros((len(reps), m, n_sys**m), dtype=np.intp)
+    for l, stride in enumerate(strides):
+        digit = grid // stride % sys_dims[l]  # digit[j] = subsystem-l digit of copy j
+        ys += digit[reps[:, l, :]] * stride
+    index = grid * n_sys + ys
+    index.flags.writeable = False
+    return index
+
+
 def gathered_contractions(rho_sys: np.ndarray, sys_dims: Sequence[int], m: int) -> np.ndarray:
-    """One complex contraction per conjugation orbit, straight from the
-    rank oracle's gather index: the product over the m factors, then the
-    sum over the system multi-index."""
-    index = _orbit_gather_index(tuple(sys_dims), m)
+    """One contraction per conjugation orbit, in rho_sys's dtype, from the
+    gather index: the product over the m factors, then the sum over the
+    system multi-index."""
+    index = orbit_gather_index(tuple(sys_dims), m)
     return rho_sys.reshape(-1)[index].prod(axis=1).sum(axis=1)
 
 
@@ -167,7 +196,7 @@ def svd_rank(dims: Sequence[int], m: int, seed=0) -> int:
     Meant for small sizes only; it has no work bound.
     """
     dims = tuple(dims)
-    columns = _orbit_gather_index(dims, m).shape[0]
+    columns = orbit_gather_index(dims, m).shape[0]
     n = math.prod(dims)
     rng = np.random.default_rng(seed)
     matrix = np.empty((3 * columns, columns), dtype=complex)

@@ -280,6 +280,14 @@ def test_rank_oracle(capsys):
     assert (code, out) == (0, "5\n")
 
 
+def test_rank_oracle_on_many_one_dimensional_systems(capsys):
+    # 1-dimensional systems get no einsum legs, so sixty of them stay
+    # within numpy's axis and label limits.
+    ones = ",".join(["1"] * 60)
+    code, out, _ = run(capsys, "rank-oracle", "--local-dims", ones, "--m", "1", "--seed", "1")
+    assert (code, out) == (0, "1\n")
+
+
 def test_rank_oracle_has_no_samples_option(capsys):
     base = ("rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "7")
     assert run(capsys, *base)[:2] == (0, "4\n")
@@ -294,6 +302,8 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
     write_state_file(path, ghz_state(12))
     nine = tmp_path / "q9.state"
     write_state_file(nine, ghz_state(9))
+    big = tmp_path / "big.state"
+    big.write_text("mixed\ndims 2049\n")  # refused before its absent values
     for argv in [
         ("dims", "--k", "3", "--m", "2000"),
         ("hilbert", "--k", "3", "--order", "2000"),
@@ -305,6 +315,7 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
         ("eval", "--invariant", "Q", "--state", str(path)),
         ("eval", "--invariant", "J", "--state", str(path), "--subset", "1"),
         ("eval", "--invariant", "eta", "--state", str(path), "--subset", "1"),
+        ("eval", "--invariant", "J", "--state", str(big)),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv

@@ -119,6 +119,18 @@ def test_restricted_monotone_with_stable_plateau(dims, m):
         assert value == plateau
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=7),
+)
+def test_restricted_reaches_stable_exactly_when_every_n_at_least_m(dims, m):
+    """A subsystem of dimension below m loses invariants: the restricted
+    count equals the stable one if and only if every n_i >= m."""
+    stable = stable_dimension(len(dims) + 1, m)
+    assert (restricted_dimension(dims, m) == stable) == all(n >= m for n in dims)
+
+
 def test_mixed_dimension():
     for m in range(0, 9):
         assert mixed_dimension(1, m) == len(partitions_of(m))

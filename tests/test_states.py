@@ -329,8 +329,8 @@ def test_rank_oracle_counts_the_sample_matrix_at_m_1(monkeypatch):
 
 
 def test_fast_contraction_table_matches_direct():
-    """Every orbit column of the rank oracle's gather index equals the
-    definition, with the environment permutation the identity."""
+    """Every gathered orbit column equals the definition, with the
+    environment permutation the identity."""
     from luinv.free_group_census import orbit_representatives
 
     rng = np.random.default_rng(19)
@@ -360,17 +360,42 @@ def test_rank_oracle_refuses_before_the_census_walk(monkeypatch):
 
 
 def test_modular_contractions_match_python_ints():
-    """The int64 gather mod PRIME equals the same contraction in exact
-    Python integers reduced mod PRIME, with entries near PRIME so that a
-    missed reduction would overflow int64."""
-    from luinv.states import PRIME, _orbit_contractions
+    """The int64 einsum fold mod PRIME equals the gathered contraction in
+    exact Python integers reduced mod PRIME, with entries near PRIME so
+    that a missed reduction would overflow int64.  A step sums at most
+    n^2 <= RANK_GATHER_BOUND / 3 products of two residues, which fits."""
+    from luinv.states import PRIME, RANK_GATHER_BOUND, _orbit_contractions, _orbit_steps
 
+    assert RANK_GATHER_BOUND * (PRIME - 1) ** 2 < 2**63
     rng = np.random.default_rng(23)
-    for dims, m in [((2,), 3), ((2, 2), 2), ((2, 2), 3), ((3,), 4)]:
+    cases = [((2,), 3), ((2, 2), 2), ((2, 2), 3), ((3,), 4), ((40,), 2), ((2, 1, 2), 3), ((2, 3), 4)]
+    for dims, m in cases:
         n_sys = math.prod(dims)
         rho = rng.integers(PRIME - 1000, PRIME, (n_sys, n_sys))
         exact = gathered_contractions(rho.astype(object), dims, m)
-        assert _orbit_contractions(rho, dims, m).tolist() == [int(v) % PRIME for v in exact]
+        fold = _orbit_contractions(rho, dims, _orbit_steps(dims, m))
+        assert fold.tolist() == [int(v) % PRIME for v in exact]
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 1, 2)])
+def test_m2_contractions_are_J_values(dims):
+    """At m = 2 a column's taus is the identity or the swap on each
+    subsystem, and its contraction is J_A, A the subsystems where it is
+    the identity: on an integer real-symmetric rho the two agree mod PRIME."""
+    from luinv.free_group_census import orbit_representatives
+    from luinv.invariants import invariant_J_vector
+    from luinv.states import PRIME, _orbit_contractions, _orbit_steps
+
+    n_sys = math.prod(dims)
+    a = np.random.default_rng(29).integers(-1000, 1001, (n_sys, n_sys))
+    rho = a + a.T
+    jvec = invariant_J_vector(DensityMatrix(dims, rho))
+    fold = _orbit_contractions(rho % PRIME, dims, _orbit_steps(dims, 2))
+    reps = orbit_representatives(len(dims), 2)
+    assert len(reps) == len(fold) == 2 ** len(dims)
+    for taus, value in zip(reps, fold.tolist()):
+        subset = sum(1 << l for l, tau in enumerate(taus) if tuple(tau) == (0, 1))
+        assert value == int(jvec[subset]) % PRIME
 
 
 @settings(deadline=None, max_examples=25)
@@ -437,6 +462,32 @@ def test_state_file_comments_and_errors(tmp_path):
     bad.write_text("soup\ndims 2\n1.0 0.0\n0.0 0.0\n")
     with pytest.raises(ValueError):
         read_state_file(bad)
+
+
+def test_state_file_is_bounded_before_its_values_are_read(tmp_path, monkeypatch):
+    """A mixed file is n^2 coefficients and a pure one n; past
+    PROJECTOR_ENTRY_BOUND the file is refused from its dims line alone."""
+    import luinv.states as states_module
+
+    path = tmp_path / "big.state"
+    for kind, dims in [("mixed", "2049"), ("mixed", "2 1025"), ("pure", "2 2097153"), ("pure", "10 " * 40)]:
+        path.write_text(f"{kind}\ndims {dims}\n")  # no values at all
+        with pytest.raises(EnumerationBoundError, match=f"refusing a {kind} state file"):
+            read_state_file(path)
+    path.write_text("mixed\ndims 2048\n")
+    with pytest.raises(ValueError, match="expected 4194304 entries, got 0"):
+        read_state_file(path)
+    path.write_text("pure\ndims 4194304\n")
+    with pytest.raises(ValueError, match="expected 4194304 coefficients, got 0"):
+        read_state_file(path)
+    path.write_text("pure\ndims 0 2097153 2\n")
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        read_state_file(path)
+    # The bound is the same one that guards the projector.
+    monkeypatch.setattr(states_module, "PROJECTOR_ENTRY_BOUND", 3)
+    path.write_text("mixed\ndims 2\n" + "1.0 0.0\n" * 4)
+    with pytest.raises(EnumerationBoundError, match="4 coefficients"):
+        read_state_file(path)
 
 
 def test_ghz_and_product_states():
