@@ -480,7 +480,7 @@ def test_state_file_is_bounded_before_its_values_are_read(tmp_path, monkeypatch)
     path.write_text("pure\ndims 4194304\n")
     with pytest.raises(ValueError, match="expected 4194304 coefficients, got 0"):
         read_state_file(path)
-    path.write_text("pure\ndims 0 2097153 2\n")
+    path.write_text("pure\ndims 5000000 5000000 0\n")  # not refused before the 0
     with pytest.raises(ValueError, match="dimensions must be positive"):
         read_state_file(path)
     # The bound is the same one that guards the projector.
