@@ -167,7 +167,7 @@ def _orbit_steps(sys_dims: tuple[int, ...], m: int) -> list:
     straight through.  Step j keeps the legs a later copy carries and sums
     the rest, all of them copy j's: at most n^2 products.  Only the w
     subsystems of dimension > 1 get legs; row leg i of copy c is label
-    c*w + i, below 52 as n^m <= RANK_GATHER_BOUND < 2^25."""
+    c*w + i, and w*m <= 24 < 52 as 2^(w*m) <= n^m <= RANK_GATHER_BOUND."""
     axes = [l for l, n in enumerate(sys_dims) if n > 1]
     rows = [[c * len(axes) + i for i in range(len(axes))] for c in range(m)]
     plans = []
