@@ -13,16 +13,11 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .characters import _check_degree, irreducible_character
-from .combinatorics import centralizer_order, partitions_of
-from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
 from .errors import ConsistencyError, EnumerationBoundError, IntegralityError
-from .free_group_census import conjugation_orbit_count, count_subgroup_classes
-from .series import euler_exponents, hilbert_series
-from .subsets import SubsetMask
 
-if TYPE_CHECKING:  # the numpy tier is imported by the commands that use it
+if TYPE_CHECKING:  # each command imports the layers it runs
     from .states import DensityMatrix, PureState
+    from .subsets import SubsetMask
 
 
 def _fmt(value: float) -> str:
@@ -43,6 +38,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _parse_subset(text: str, k: int) -> SubsetMask:
     """Comma-separated distinct labels; the empty string is the empty subset."""
+    from .subsets import SubsetMask
+
     try:
         members = [int(tok) for tok in text.split(",")] if text else []
     except ValueError as exc:
@@ -53,6 +50,8 @@ def _parse_subset(text: str, k: int) -> SubsetMask:
 
 
 def _cmd_dims(args) -> int:
+    from .dimensions import mixed_dimension, restricted_dimension, stable_dimension
+
     if args.local_dims is not None:
         if args.mixed:
             raise ValueError("--local-dims and --mixed cannot be combined")
@@ -70,6 +69,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    from .series import euler_exponents, hilbert_series
+
     series = hilbert_series(args.k, args.order)
     counts = euler_exponents(series, args.k)
     print("# grading: half-degree m, i.e. degree 2m (real)")
@@ -83,6 +84,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_subgroups(args) -> int:
+    from .free_group_census import count_subgroup_classes
+
     # Checked and computed whole first, so a refused or invalid request
     # prints nothing.
     if args.rank < 1 or args.max_index < 1:
@@ -95,11 +98,16 @@ def _cmd_subgroups(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from .free_group_census import conjugation_orbit_count
+
     print(conjugation_orbit_count(args.tuple_length, args.m))
     return 0
 
 
 def _cmd_char_table(args) -> int:
+    from .characters import _check_degree, irreducible_character
+    from .combinatorics import centralizer_order, partitions_of
+
     _check_degree(args.m)
     partitions = partitions_of(args.m)
     labels = [str(p) for p in partitions]
@@ -152,6 +160,7 @@ def _cmd_eval(args) -> int:
 def _cmd_transform(args) -> int:
     from .invariants import i_from_j, invariant_I_vector, invariant_J_vector, j_from_i
     from .states import projector, read_state_file
+    from .subsets import SubsetMask
 
     psi = _as_pure(read_state_file(args.state))
     ivec = invariant_I_vector(psi)

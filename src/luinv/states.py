@@ -256,7 +256,8 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
 def read_state_file(path) -> PureState | DensityMatrix:
     """Parse the text state format: a `pure`/`mixed` line, a `dims` line,
     then one `re im` coefficient per line; `#` lines are comments.  Refused
-    unread past PROJECTOR_ENTRY_BOUND coefficients (n pure, n^2 mixed)."""
+    unread past PROJECTOR_ENTRY_BOUND coefficients (n pure, n^2 mixed), and
+    at the first value line past those the dims line allows."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = (line for line in map(str.strip, handle) if line and not line.startswith("#"))
         kind, dims_line = next(lines, None), next(lines, None)
@@ -274,14 +275,16 @@ def read_state_file(path) -> PureState | DensityMatrix:
         message = f"refusing a {kind} state file of {{}} coefficients (limit {PROJECTOR_ENTRY_BOUND})"
         check_work(shape, PROJECTOR_ENTRY_BOUND, message)
         values, count = np.empty(math.prod(shape), dtype=complex), 0
+        expected = f"expected {values.size} {'coefficients' if kind == 'pure' else 'entries'}"
         for count, line in enumerate(lines, 1):
+            if count > values.size:
+                raise ValueError(f"{expected}, got more")
             tokens = line.split()
             if len(tokens) != 2:
                 raise ValueError(f"expected `re im`, got {line!r}")
-            if count <= values.size:
-                values[count - 1] = complex(float(tokens[0]), float(tokens[1]))
+            values[count - 1] = complex(float(tokens[0]), float(tokens[1]))
     if count != values.size:
-        raise ValueError(f"expected {values.size} {'coefficients' if kind == 'pure' else 'entries'}, got {count}")
+        raise ValueError(f"{expected}, got {count}")
     if kind == "pure":
         return PureState(dims, values)
     return DensityMatrix(dims, values.reshape(math.prod(dims), -1))

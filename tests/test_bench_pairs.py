@@ -67,6 +67,19 @@ def test_unknown_claim_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, 
     assert not (tmp_path / "BENCH_0.json").exists()
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_checkout_with_bytecode_is_a_usage_error(monkeypatch, capsys, tmp_path, no_runs, side):
+    monkeypatch.setattr(sys, "argv", checkouts(tmp_path, "--seeds", "1-2"))
+    stale = tmp_path / side / "src" / "luinv" / "__pycache__"
+    stale.mkdir(parents=True)
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code == 2
+    assert f"--{side} {tmp_path / side} holds bytecode from an earlier run: {stale}" in capsys.readouterr().err
+    assert stale.is_dir()
+    assert not (tmp_path / "BENCH_0.json").exists()
+
+
 def test_known_claim_reaches_the_first_run(monkeypatch, tmp_path, no_runs):
     argv = checkouts(tmp_path, "--seeds", "1-2", "--claimed", "cli:peak_rss_mib")
     monkeypatch.setattr(sys, "argv", argv)

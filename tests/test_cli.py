@@ -324,12 +324,12 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
 
 def test_internal_assertion_exits_4(capsys, monkeypatch):
     from luinv import IntegralityError
-    import luinv.cli as cli_module
+    import luinv.series as series_module
 
     def boom(series, k=None):
         raise IntegralityError("exponent u_2 = 1/2 is not an integer")
 
-    monkeypatch.setattr(cli_module, "euler_exponents", boom)
+    monkeypatch.setattr(series_module, "euler_exponents", boom)
     code, _, err = run(capsys, "hilbert", "--k", "2", "--order", "3")
     assert code == 4
     assert "u_2" in err

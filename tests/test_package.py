@@ -1,5 +1,6 @@
 """The package surface: which names `luinv` exports, and that the exact
-layers and their CLI commands run without importing numpy."""
+layers and their CLI commands run without importing numpy, each command
+loading only the layers it runs."""
 
 import json
 import os
@@ -80,31 +81,34 @@ REMOVED = [
 ]
 UNKNOWN = ["np", "no_such_name", *REMOVED]
 
+# Each combinatorial command, and the layers it loads beyond `cli` and `errors`.
+DIMS_LAYERS = ["characters", "combinatorics", "dimensions", "series"]
 COMBINATORIAL_COMMANDS = [
-    ["dims", "--k", "3", "--m", "2"],
-    ["dims", "--local-dims", "2,2", "--m", "3"],
-    ["hilbert", "--k", "3", "--order", "6"],
-    ["subgroups", "--rank", "2", "--max-index", "4"],
-    ["orbits", "--tuple-length", "2", "--m", "4"],
-    ["char-table", "--m", "4"],
+    (["dims", "--k", "3", "--m", "2"], DIMS_LAYERS),
+    (["dims", "--local-dims", "2,2", "--m", "3"], DIMS_LAYERS),
+    (["hilbert", "--k", "3", "--order", "6"], ["series"]),
+    (["subgroups", "--rank", "2", "--max-index", "4"], ["free_group_census"]),
+    (["orbits", "--tuple-length", "2", "--m", "4"], ["free_group_census"]),
+    (["char-table", "--m", "4"], ["characters", "combinatorics"]),
 ]
 
-# Runs in a fresh interpreter: records whether numpy is loaded after each
-# step, and each command's exit code and stdout.
+# Runs in a fresh interpreter: records, after each step, whether numpy is
+# loaded and which `luinv.*` modules are, then the command's exit code and
+# stdout.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
-steps, outcomes = [], []
+def loaded():
+    return ["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("luinv."))]
+steps = []
 import luinv
-steps.append(["import luinv", "numpy" in sys.modules])
+steps.append(loaded())
 import luinv.cli
-steps.append(["import luinv.cli", "numpy" in sys.modules])
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = luinv.cli.main(argv)
-    steps.append([" ".join(argv), "numpy" in sys.modules])
-    outcomes.append([code, out.getvalue()])
-print(json.dumps({"steps": steps, "outcomes": outcomes}))
+steps.append(loaded())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = luinv.cli.main(json.loads(sys.argv[1]))
+steps.append(loaded())
+print(json.dumps({"steps": steps, "outcome": [code, out.getvalue()]}))
 """
 
 # Runs in a fresh interpreter: lists the package before the numpy tier is
@@ -160,10 +164,13 @@ def _fresh(script: str, *args: str) -> dict:
 
 
 def test_combinatorial_commands_never_import_numpy(capsys):
-    report = _fresh(_NUMPY_FREE_SCRIPT, json.dumps(COMBINATORIAL_COMMANDS))
-    assert [step for step, loaded in report["steps"] if loaded] == []
-    for argv, (code, out) in zip(COMBINATORIAL_COMMANDS, report["outcomes"]):
-        assert (code, out) == (main(argv), capsys.readouterr().out), argv
+    # `import luinv` loads no layer, and each command only the layers it runs.
+    cli = ["luinv.cli", "luinv.errors"]
+    for argv, layers in COMBINATORIAL_COMMANDS:
+        report = _fresh(_NUMPY_FREE_SCRIPT, json.dumps(argv))
+        ran = sorted(cli + [f"luinv.{layer}" for layer in layers])
+        assert report["steps"] == [[False, []], [False, cli], [False, ran]], argv
+        assert report["outcome"] == [main(argv), capsys.readouterr().out], argv
 
 
 @pytest.mark.parametrize("first", ["eta", "PureState", "invariants", "states"])

@@ -462,6 +462,14 @@ def test_state_file_comments_and_errors(tmp_path):
     bad.write_text("soup\ndims 2\n1.0 0.0\n0.0 0.0\n")
     with pytest.raises(ValueError):
         read_state_file(bad)
+    # Refused at the first extra value line: what follows it is not read.
+    for tail in ["1.0 0.0\n", "1.0 0.0\nsoup\n"]:
+        bad.write_text("pure\ndims 2\n1.0 0.0\n0.0 0.0\n" + tail)
+        with pytest.raises(ValueError, match=r"^expected 2 coefficients, got more$"):
+            read_state_file(bad)
+    bad.write_text("mixed\ndims 1\n1.0 0.0\n1.0 0.0\n")
+    with pytest.raises(ValueError, match=r"^expected 1 entries, got more$"):
+        read_state_file(bad)
 
 
 def test_state_file_is_bounded_before_its_values_are_read(tmp_path, monkeypatch):

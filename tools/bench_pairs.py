@@ -8,8 +8,10 @@ For each workload, library and cli, and every seed, `python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0` runs once from the root of each
 checkout, one after the other: the parent first for odd seeds, the change
 first for even ones, so that drift of a shared host does not favour one
-side.  Each run's last stdout line is its result.  The file holds every pair
-and, per end-to-end metric, both sides' medians and inclusive quartiles
+side.  A checkout that holds src/luinv/__pycache__ is refused before any
+run: its bytecode would spare that side the compiling that the other
+does.  Each run's last stdout line is its result.  The file holds every
+pair and, per end-to-end metric, both sides' medians and inclusive quartiles
 (statistics.quantiles), the number of pairs in which the change was lower,
 and the change of the median relative to the parent's, then one traced 30-s
 library run per side (--trace 1, seed --trace-seed) and one Tier-1 pytest run
@@ -130,6 +132,9 @@ def main() -> int:
     for side, root in roots.items():
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
             parser.error(f"--{side} {root} has no perfbench/run.py")
+        stale = os.path.join(root, "src", "luinv", "__pycache__")
+        if os.path.isdir(stale):
+            parser.error(f"--{side} {root} holds bytecode from an earlier run: {stale}")
     if args.claimed:
         workload, _, metric = args.claimed.partition(":")
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
