@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .characters import ClassFunction, _square_sum, inner_product, trivial_character
-from .errors import IntegralityError
-from .series import hilbert_series
+from .characters import ClassFunction, _check_degree, _square_sum, inner_product, trivial_character
+from .errors import IntegralityError, check_work
+from .series import SERIES_WORK_BOUND, hilbert_series
 
 
 def stable_dimension(k: int, m: int) -> int:
@@ -48,10 +48,18 @@ def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
 
     The partition cutoff counts rows, since the corresponding Schur functor
     vanishes exactly when the partition has more rows than the local
-    dimension.
+    dimension.  The product's integers grow with the number L of dims, so
+    its work grows as L^2.  It is refused before any character is built past
+    the degree bound, or when m^2 * max(1, L-1), the count of the Hilbert
+    series of the same L + 1 subsystems, exceeds SERIES_WORK_BOUND.
     """
     if m < 0 or any(n < 1 for n in bounded_dims):
         raise ValueError("need m >= 0 and positive dimensions")
+    _check_degree(m)
+    count = len(bounded_dims)
+    message = f"refusing a restricted dimension of L={count} bounded dims at m={m}: "
+    message += f"m^2 * max(1, L-1) = {{}} exceeds {SERIES_WORK_BOUND}"
+    check_work((m, m, max(1, count - 1)), SERIES_WORK_BOUND, message)
     product = trivial_character(m).values
     for n in bounded_dims:
         product = tuple(x * y for x, y in zip(product, _square_sum(m, min(n, m))))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, repeat
 from math import factorial
 from typing import Callable
 
@@ -67,7 +66,7 @@ def check_tuple_bound(degree: int, length: int) -> None:
     refused in a few steps (errors.check_work).
     """
     if degree > 1:
-        factors = chain.from_iterable(repeat(range(2, degree + 1), max(length, 1)))
+        factors = (f for _ in range(max(length, 1)) for f in range(2, degree + 1))
         message = "refusing to enumerate {} permutation tuples "
     else:
         factors, message = (length,), "refusing to build a tuple of {} permutations "

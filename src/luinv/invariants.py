@@ -25,12 +25,9 @@ from .errors import check_work
 from .states import DensityMatrix, PureState, partial_trace
 from .subsets import SubsetMask
 
-# Largest work count of higher_invariant (k * m! * n^m, which bounds the m!
-# gathers of each subsystem's pass; five qubits at m = 3 fit) and of the
-# oracle higher_basis_vector in tests/oracles.py ((m!)^(k+1), and n^m).
-HIGHER_WORK_BOUND = 10**6
-# Largest I-family work count, prod over j of n_j(n_j+1)/2 times 2^k (eight
-# qubits fit), and J-vector entry count, prod over j of (n_j^2 + 1).
+# Largest entry count of the projection kernel behind I_A, Meyer-Wallach and
+# the higher-order invariants (_check_kernel; ten qubits at m = 2 and four at
+# m = 4 fit), and of the J-vector, prod over j of (n_j^2 + 1).
 I_TABLE_BOUND = 1 << 21
 
 
@@ -95,6 +92,21 @@ def _orbit_table(n: int, m: int) -> tuple[np.ndarray, int, np.ndarray]:
     return positions, int((stabilizer == 1).sum()), weights
 
 
+def _check_kernel(dims: tuple[int, ...], m: int) -> None:
+    """Refuse the projection kernel at m past I_TABLE_BOUND entries: its 2^k
+    values, or the largest gather of one subsystem's pass, the m! copies of
+    that subsystem's orbits times the m-th power of the others, n_min (n_min
+    + 1) ... (n_min + m - 1) (n / n_min)^m for n the product of the dims and
+    n_min the smallest (1 for none).  It also bounds the n^m-entry tensor
+    and _orbit_table's positions.  A huge m is refused in a few factors."""
+    low, n = min(dims, default=1), math.prod(dims)
+    gather = itertools.chain(range(low, low + m), (n // low for _ in range(m)))
+    message = f"refusing a projection kernel of {{}} entries (dims {dims}, m={m}, "
+    message += f"limit {I_TABLE_BOUND})"
+    for factors in (gather, itertools.repeat(2, len(dims))):
+        check_work(factors, I_TABLE_BOUND, message)
+
+
 def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     """||(P_1 x ... x P_k) psi^m||^2 for every subset A in binary order, m >= 2.
     Per subsystem, the m! gathered copies of each orbit sum to plus (even
@@ -103,6 +115,7 @@ def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     moduli, weighted 1/(m! |Stab x|) and 1/m! (powers of two at m = 2, exact
     on integers), sum to the two norms of each subsystem in turn."""
     dims, k = psi.dims, psi.k
+    _check_kernel(dims, m)
     tables = [_orbit_table(n, m) for n in dims]
     tensor = functools.reduce(np.multiply.outer, [psi.coeffs] * m).reshape(dims * m)
     tensor = tensor.transpose([j + c * k for j in range(k) for c in range(m)])
@@ -129,15 +142,9 @@ def _projection_norms(psi: PureState, m: int) -> np.ndarray:
 
 def invariant_I_vector(psi: PureState) -> InvariantVector:
     """Degree-4 invariants I_A of every subset A: the projection kernel at
-    m = 2.  Refused when prod over j of n_j(n_j+1)/2 times 2^k, which bounds
-    the prod n_j^2 two-copy entries and the 2^k values, exceeds I_TABLE_BOUND.
-    """
-    dims, k = psi.dims, psi.k
-    message = f"refusing an I-family evaluation of {{}} pair products "
-    message += f"(dims {dims}, limit {I_TABLE_BOUND})"
-    factors = (math.prod(n * (n + 1) // 2 for n in dims), 1 << k)
-    check_work(factors, I_TABLE_BOUND, message)
-    return InvariantVector(k, tuple(_projection_norms(psi, 2).tolist()))
+    m = 2, refused past n^2 (1 + 1/n_min) entries of one pass or 2^k values,
+    n the total dimension (_check_kernel)."""
+    return InvariantVector(psi.k, tuple(_projection_norms(psi, 2).tolist()))
 
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
@@ -233,29 +240,21 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     span the image of Sym composed with the P_j; each P_j is central in the
     group algebra, so it commutes with Sym, and psi^m is already symmetric.
 
-    One entry of the projection kernel; at m = 1 every P_j is the identity.
-    1-dimensional subsystems, where P_j is 1 or 0, are dropped, so the 2^k
-    values stay within the n^m (n the total dimension) of the refusal's count
-    k * m! * n^m (k at least 1) against HIGHER_WORK_BOUND.
+    One entry of the projection kernel, refused past its counts
+    (_check_kernel); at m = 1 every P_j is the identity, and a subset with a
+    1-dimensional member gives 0, both without the kernel.  The other
+    1-dimensional subsystems, where P_j is 1, are dropped before it runs.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
         raise ValueError("subset must have even size")
     if m < 1:
         raise ValueError("need m >= 1")
-    k = psi.k
-    n = math.prod(psi.dims)
-    check_work(
-        itertools.chain([max(k, 1)], range(2, m + 1), itertools.repeat(n, m)),
-        HIGHER_WORK_BOUND,
-        f"refusing higher-order evaluation at m={m}, total dimension {n}: k * m! * n^m "
-        f"exceeds the limit of {HIGHER_WORK_BOUND} tensor entries written",
-    )
     if m == 1:
         return psi.norm_squared()
     if any(psi.dims[j - 1] == 1 for j in subset):
         return 0.0
-    kept = [j for j in range(1, k + 1) if psi.dims[j - 1] > 1]
+    kept = [j for j in range(1, psi.k + 1) if psi.dims[j - 1] > 1]
     bits = sum(1 << i for i, j in enumerate(kept) if j in subset)
     reduced = PureState(tuple(psi.dims[j - 1] for j in kept), psi.coeffs)
     return float(_projection_norms(reduced, m)[bits])

@@ -4,7 +4,8 @@ Each is an independent route to a quantity the package computes another
 way, or a way to build test states:
 
 - higher_basis_vector: the explicit symmetric/alternating basis vectors
-  whose span higher_invariant projects onto;
+  whose span higher_invariant projects onto, with permutation_sign, the
+  sign by cycle count (the kernel orders permutations by inversions);
 - permutation_contraction: one einsum per permutation tuple, against which
   the gathered orbit columns are checked;
 - orbit_gather_index and gathered_contractions: every orbit column as one
@@ -33,11 +34,13 @@ import numpy as np
 
 from luinv import DensityMatrix, PureState, SubsetMask
 from luinv.errors import check_work
-from luinv.invariants import HIGHER_WORK_BOUND, _perm_sign, _require_subset
+from luinv.invariants import _require_subset
 from luinv.free_group_census import orbit_representatives
 from luinv.states import HERMITICITY_TOL
 
 PURIFY_CUTOFF = 1e-12
+# Largest n^m tensor entries, and (m!)^(k+1) writes, of higher_basis_vector.
+BASIS_VECTOR_BOUND = 10**6
 # Singular values above this fraction of the largest count toward svd_rank.
 SVD_RANK_TOL = 1e-8
 # einsum index letters of permutation_contraction, one per (copy, subsystem).
@@ -49,6 +52,20 @@ def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
     for i, n in zip(indices, dims):
         flat = flat * n + i
     return flat
+
+
+def permutation_sign(p: Sequence[int]) -> int:
+    """(-1)^(m - number of cycles)."""
+    seen = set()
+    cycles = 0
+    for start in range(len(p)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+    return -1 if (len(p) - cycles) % 2 else 1
 
 
 def higher_basis_vector(
@@ -68,7 +85,7 @@ def higher_basis_vector(
 
     Refused before any allocation when the tensor's n^m entries, or its
     (m!)^(k+1) writes (a permutation per subsystem and a symmetrizing
-    one), exceed HIGHER_WORK_BOUND.
+    one), exceed BASIS_VECTOR_BOUND.
     """
     dims = tuple(dims)
     k = len(dims)
@@ -88,15 +105,15 @@ def higher_basis_vector(
             if (b <= a) if strict else (b < a):
                 raise ValueError(f"row {row} not admissible for subsystem {j}")
     n = math.prod(dims)
-    written = f"exceeds the limit of {HIGHER_WORK_BOUND} tensor entries written"
+    written = f"exceeds the limit of {BASIS_VECTOR_BOUND} tensor entries written"
     check_work(
         itertools.repeat(n, m),
-        HIGHER_WORK_BOUND,
+        BASIS_VECTOR_BOUND,
         f"refusing a basis vector at m={m}, total dimension {n}: n^m {written}",
     )
     check_work(
         itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), k + 1)),
-        HIGHER_WORK_BOUND,
+        BASIS_VECTOR_BOUND,
         f"refusing a basis vector at m={m}, k={k}: (m!)^(k+1) {written}",
     )
     perms = list(itertools.permutations(range(m)))
@@ -106,7 +123,7 @@ def higher_basis_vector(
         sign = 1.0
         for j in range(1, k + 1):
             if j in subset:
-                sign *= _perm_sign(pis[j - 1])
+                sign *= permutation_sign(pis[j - 1])
         flats = [
             _flat_index([table[j][pis[j][r]] for j in range(k)], dims)
             for r in range(m)

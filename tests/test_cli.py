@@ -4,7 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from luinv import DensityMatrix, PureState, SubsetMask, ghz_state, write_state_file
+from luinv import (
+    DensityMatrix,
+    PureState,
+    SubsetMask,
+    ghz_state,
+    random_pure_state,
+    write_state_file,
+)
 from luinv.cli import main
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -300,8 +307,8 @@ def test_rank_oracle_has_no_samples_option(capsys):
 def test_unbounded_requests_exit_3(tmp_path, capsys):
     path = tmp_path / "q12.state"
     write_state_file(path, ghz_state(12))
-    nine = tmp_path / "q9.state"
-    write_state_file(nine, ghz_state(9))
+    eleven = tmp_path / "q11.state"
+    write_state_file(eleven, ghz_state(11))
     big = tmp_path / "big.state"
     big.write_text("mixed\ndims 2049\n")  # refused before its absent values
     for argv in [
@@ -311,7 +318,8 @@ def test_unbounded_requests_exit_3(tmp_path, capsys):
         ("dims", "--local-dims", "2,2", "--m", "40"),
         ("rank-oracle", "--local-dims", "2,2,2", "--m", "5", "--seed", "1"),
         ("eval", "--invariant", "I", "--state", str(path), "--subset", "1,2"),
-        ("eval", "--invariant", "I", "--state", str(nine)),
+        ("eval", "--invariant", "I", "--state", str(eleven)),
+        ("dims", "--local-dims", ",".join(["16"] * 978), "--m", "16"),
         ("eval", "--invariant", "Q", "--state", str(path)),
         ("eval", "--invariant", "J", "--state", str(path), "--subset", "1"),
         ("eval", "--invariant", "eta", "--state", str(path), "--subset", "1"),
@@ -347,16 +355,71 @@ def test_higher_bound_exits_3(tmp_path, capsys):
 
 
 def test_higher_work_bound_exits_3(tmp_path, capsys):
-    # k * m! * n^m entries written: GHZ4 at m = 3 writes 98,304, at m = 4
-    # 6,291,456.
-    path = tmp_path / "ghz4.state"
-    write_state_file(path, ghz_state(4))
-    argv = ["eval", "--invariant", "higher", "--state", str(path), "--subset", ""]
-    code, out, _ = run(capsys, *argv, "--m", "3")
-    assert (code, out) == (0, "0.277777778\n")
-    code, out, err = run(capsys, *argv, "--m", "4")
-    assert (code, out) == (3, "")
-    assert "exceeds the limit of 1000000 tensor entries written" in err
+    # The projection kernel's largest gather, 2 * 3 * ... * (m + 1) *
+    # 2^((k-1)m) entries: GHZ4 builds 12,288 at m = 3 and 491,520 at m = 4,
+    # five qubits at m = 4 7,864,320, past I_TABLE_BOUND = 2^21.
+    argv = ["eval", "--invariant", "higher", "--subset", ""]
+    for k, m, expected in [
+        (4, 3, (0, "0.277777778\n")), (4, 4, (0, "0.134548611\n")), (5, 4, (3, "")),
+    ]:
+        path = tmp_path / f"ghz{k}.state"
+        write_state_file(path, ghz_state(k))
+        code, out, err = run(capsys, *argv, "--state", str(path), "--m", str(m))
+        assert (code, out) == expected
+    assert err == (
+        "luinv: refusing a projection kernel of 7864320 entries "
+        "(dims (2, 2, 2, 2, 2), m=4, limit 2097152)\n"
+    )
+
+
+def test_higher_at_m2_prints_the_I_line(tmp_path, capsys):
+    # One kernel and one admission: the I-family and higher at m = 2 give
+    # the same line on eight qubits, where higher was refused by a count
+    # of its own.
+    path = tmp_path / "q8.state"
+    write_state_file(path, random_pure_state((2,) * 8, seed=3))
+    argv = ["eval", "--state", str(path), "--subset", "1,2"]
+    _, i_line, _ = run(capsys, *argv, "--invariant", "I")
+    code, higher_line, err = run(capsys, *argv, "--invariant", "higher", "--m", "2")
+    assert (code, higher_line, err) == (0, i_line, "")
+    assert i_line == "0.021045353\n"
+
+
+HUGE_INTEGER_ARGVS = [
+    ("dims", "--k", "{}", "--m", "2"),
+    ("dims", "--k", "3", "--m", "{}"),
+    ("dims", "--k", "2", "--m", "{}", "--mixed"),
+    ("dims", "--local-dims", "{}", "--m", "2"),
+    ("dims", "--local-dims", "2", "--m", "{}"),
+    ("hilbert", "--k", "{}", "--order", "3"),
+    ("hilbert", "--k", "3", "--order", "{}"),
+    ("subgroups", "--rank", "{}", "--max-index", "2"),
+    ("subgroups", "--rank", "2", "--max-index", "{}"),
+    ("orbits", "--tuple-length", "{}", "--m", "2"),
+    ("orbits", "--tuple-length", "2", "--m", "{}"),
+    ("char-table", "--m", "{}"),
+    ("eval", "--invariant", "higher", "--subset", "1,2", "--m", "{}"),
+    ("rank-oracle", "--local-dims", "{}", "--m", "2", "--seed", "1"),
+    ("rank-oracle", "--local-dims", "2", "--m", "{}", "--seed", "1"),
+    ("rank-oracle", "--local-dims", "2", "--m", "2", "--seed", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", [2**63, 10**30], ids=["2**63", "10**30"])
+@pytest.mark.parametrize("argv", HUGE_INTEGER_ARGVS, ids=" ".join)
+def test_huge_integers_never_crash(tmp_path, capsys, argv, value):
+    # Each integer option at a huge value, the others small: an answer, a
+    # usage error or a refusal, never an uncaught exception.
+    argv = [arg.format(value) for arg in argv]
+    if argv[0] == "eval":
+        path = tmp_path / "bell.state"
+        write_state_file(path, ghz_state(2))
+        argv += ["--state", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("luinv: refusing")
 
 
 def test_eta_rejects_non_psd_state_exits_2(tmp_path, capsys):

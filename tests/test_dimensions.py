@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luinv import (
+    EnumerationBoundError,
     hilbert_series,
     mixed_dimension,
     partitions_of,
@@ -129,6 +130,22 @@ def test_restricted_reaches_stable_exactly_when_every_n_at_least_m(dims, m):
     count equals the stable one if and only if every n_i >= m."""
     stable = stable_dimension(len(dims) + 1, m)
     assert (restricted_dimension(dims, m) == stable) == all(n >= m for n in dims)
+
+
+def test_restricted_dimension_is_bounded_like_the_series():
+    # m^2 * max(1, L-1) for L dims against SERIES_WORK_BOUND, the count of
+    # hilbert_series(L + 1, m): both routes to the stable dimension admit
+    # 978 subsystems at m = 16 and refuse 979.
+    assert stable_dimension_via_characters(978, 16) == stable_dimension(978, 16)
+    for route in (stable_dimension, stable_dimension_via_characters):
+        with pytest.raises(EnumerationBoundError, match="250000"):
+            route(979, 16)
+    with pytest.raises(EnumerationBoundError, match=r"L=62502 bounded dims at m=2"):
+        restricted_dimension((1,) * 62502, 2)
+    assert restricted_dimension((1,) * 62501, 2) == 1
+    # The degree bound is checked first, as before this count.
+    with pytest.raises(EnumerationBoundError, match="S_17"):
+        restricted_dimension((2,) * 10**4, 17)
 
 
 def test_mixed_dimension():

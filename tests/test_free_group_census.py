@@ -80,6 +80,14 @@ def test_enumeration_bound_check_is_cheap_for_huge_degree():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("length", [2**63 - 1, 2**63, 10**30])
+def test_enumeration_bound_check_takes_a_length_past_ssize_t(length):
+    # The 2!^length factors are read lazily, so a length past a C ssize_t
+    # is refused like 2^63 - 1, not with an OverflowError.
+    with pytest.raises(EnumerationBoundError, match=r"more than 250000000000 permutation"):
+        conjugation_orbit_count(length, 2)
+
+
 def _conjugate_by(s, tup):
     """The simultaneous conjugate s p s^-1 of tup."""
     images = []

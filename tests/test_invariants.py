@@ -36,6 +36,7 @@ from oracles import (  # noqa: E402
     apply_local_unitaries,
     higher_basis_vector,
     permutation_contraction,
+    permutation_sign,
     product_state,
     purify,
     random_density_matrix,
@@ -185,19 +186,22 @@ def test_I_vector_lu_invariant(dims, seed):
 
 
 def test_I_vector_refuses_large_states():
-    # Past I_TABLE_BOUND = 2^21 by prod n_j(n_j+1)/2 * 2^k, the smallest at
-    # (1448,) with 2,098,152; see test_I_vector_admits_the_edge.
-    for dims in [(2,) * 12, (2,) * 9, (2,) * 7 + (3,), (1448,), (1,) * 22]:
+    # Past I_TABLE_BOUND = 2^21 entries of the projection kernel at m = 2,
+    # n^2 (1 + 1/n_min) or 2^k: 6,291,456 for eleven qubits, 2,098,152 for
+    # (1448,), 2^22 for (1,)*22; see test_I_vector_admits_the_edge.
+    for dims in [(2,) * 12, (2,) * 11, (1448,), (1,) * 22]:
         psi = PureState(dims, np.ones(math.prod(dims)))
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(EnumerationBoundError, match="projection kernel"):
             invariant_I_vector(psi)
         with pytest.raises(EnumerationBoundError):
             meyer_wallach(psi.normalized())
 
 
 def test_I_vector_admits_the_edge():
-    # 1,679,616 for eight qubits and 2,095,256 for (1447,).
-    for dims in [(2,) * 8, (1447,)]:
+    # 1,572,864 for ten qubits, 2,095,256 for (1447,), 2^21 for (1,)*21;
+    # nine qubits and seven qubits and a qutrit were refused by the count
+    # of the deleted pair table, prod n_j(n_j+1)/2 * 2^k.
+    for dims in [(2,) * 9, (2,) * 7 + (3,), (2,) * 10, (1447,), (1,) * 21]:
         vector = invariant_I_vector(random_pure_state(dims, seed=29))
         assert sum(vector.values) == pytest.approx(1.0, abs=1e-9)
 
@@ -489,20 +493,6 @@ def test_higher_invariant_matches_tables():
                 ) < 1e-12
 
 
-def _permutation_sign(p):
-    """(-1)^(m - number of cycles)."""
-    seen = set()
-    cycles = 0
-    for start in range(len(p)):
-        if start not in seen:
-            cycles += 1
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = p[i]
-    return -1 if (len(p) - cycles) % 2 else 1
-
-
 @settings(deadline=None, max_examples=40)
 @given(
     dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
@@ -514,7 +504,7 @@ def test_higher_invariant_is_signed_contraction_sum(dims, m, seed):
     psi = random_pure_state(dims, seed)
     k = len(dims)
     perms = list(itertools.permutations(range(m)))
-    signs = {p: _permutation_sign(p) for p in perms}
+    signs = {p: permutation_sign(p) for p in perms}
     terms = [
         (pis, permutation_contraction(psi, pis))
         for pis in itertools.product(perms, repeat=k)
@@ -532,13 +522,13 @@ def test_higher_invariant_is_signed_contraction_sum(dims, m, seed):
 
 def test_higher_invariant_ghz_anchor():
     # GHZ_k: psi^m projects onto the product of one Dicke state per
-    # Hamming weight w, so the invariant is 2^-m sum_w C(m,w)^(2-k).
-    from luinv.invariants import HIGHER_WORK_BOUND
-
+    # Hamming weight w, so the invariant is 2^-m sum_w C(m,w)^(2-k).  Five
+    # qubits at m = 4 is the one case past the kernel's count: 5 * 4 * 3 *
+    # 2 * 16^4 = 7,864,320 entries.
     for k in range(2, 6):
         for m in range(1, 5):
             empty = SubsetMask.of(k, [])
-            if k * math.factorial(m) * 2 ** (k * m) > HIGHER_WORK_BOUND:
+            if (k, m) == (5, 4):
                 with pytest.raises(EnumerationBoundError):
                     higher_invariant(ghz_state(k), empty, m)
                 continue
@@ -548,6 +538,35 @@ def test_higher_invariant_ghz_anchor():
             assert higher_invariant(ghz_state(k), empty, m) == pytest.approx(
                 float(expected), abs=1e-12
             )
+
+
+def test_kernel_count_only_relaxes_the_two_old_rules():
+    # _check_kernel refuses exactly when max(n_min (n_min + 1) ... (n_min +
+    # m - 1) (n / n_min)^m, 2^k) exceeds I_TABLE_BOUND.  That count never
+    # exceeds either rule it replaced: prod n_j(n_j+1)/2 * 2^k of the
+    # I-vector at m = 2, and k * m! * n^m of higher_invariant, whose dims
+    # have no 1 (HIGHER_WORK_BOUND was 10^6 < I_TABLE_BOUND).  The one
+    # exception is no dims at all, counted m! = 2 at m = 2 against 1.
+    from luinv.invariants import I_TABLE_BOUND, _check_kernel
+
+    entries = (1, 2, 3, 5, 1447, 1448)
+    for k in range(9):
+        for dims in itertools.combinations_with_replacement(entries, k):
+            n = math.prod(dims)
+            if k > 1 and n > 5000:
+                continue
+            low = min(dims, default=1)
+            for m in range(2, 8):
+                count = max(math.prod(range(low, low + m)) * (n // low) ** m, 2**k)
+                if count > I_TABLE_BOUND:
+                    with pytest.raises(EnumerationBoundError, match="projection kernel"):
+                        _check_kernel(dims, m)
+                else:
+                    _check_kernel(dims, m)
+                if m == 2 and k:
+                    assert count <= math.prod(a * (a + 1) // 2 for a in dims) * 2**k
+                if low > 1:
+                    assert count <= k * math.factorial(m) * n**m
 
 
 def test_higher_invariant_matches_I_at_m2():
@@ -570,7 +589,7 @@ def test_higher_invariant_m1_is_norm():
     assert higher_invariant(scaled, SubsetMask.of(2, []), 1) == pytest.approx(
         scaled.norm_squared(), abs=1e-9
     )
-    # Admitted at 15 * 2^15; one value per subset would need 2^30 entries.
+    # m = 1 needs no kernel; one value per subset would need 2^30 entries.
     fifteen = random_pure_state((2,) * 15, seed=34)
     assert higher_invariant(fifteen, SubsetMask.of(15, [1, 2]), 1) == pytest.approx(1.0)
 
@@ -611,13 +630,19 @@ def test_higher_invariant_validation():
         higher_invariant(psi, SubsetMask.of(2, [1]), 2)
     with pytest.raises(ValueError):
         higher_invariant(psi, SubsetMask.of(2, []), 0)
-    # k * m! * n^m entries written: a huge m is refused within a few
-    # factors, (2, 3) at m = 5 at 1,866,240, four qubits at m = 4 at 6.3
-    # million.
+    # The kernel's largest gather, n_min (n_min + 1) ... (n_min + m - 1)
+    # (n / n_min)^m entries: a huge m is refused within a few factors, (2, 3)
+    # at m = 6 at 3,674,160 and five qubits at m = 4 at 7,864,320; (2, 3) at
+    # m = 5 (174,960) and four qubits at m = 4 (491,520) run.
+    for m in (10**6, 2**63):
+        with pytest.raises(EnumerationBoundError):
+            higher_invariant(psi, SubsetMask.of(2, []), m)
+    qubit_qutrit = random_pure_state((2, 3), seed=28)
+    assert 0.0 <= higher_invariant(qubit_qutrit, SubsetMask.of(2, []), 5) <= 1.0 + 1e-12
     with pytest.raises(EnumerationBoundError):
-        higher_invariant(psi, SubsetMask.of(2, []), 10**6)
-    with pytest.raises(EnumerationBoundError):
-        higher_invariant(random_pure_state((2, 3), seed=28), SubsetMask.of(2, []), 5)
+        higher_invariant(qubit_qutrit, SubsetMask.of(2, []), 6)
     four = random_pure_state((2, 2, 2, 2), seed=27)
+    assert 0.0 <= higher_invariant(four, SubsetMask.of(4, []), 4) <= 1.0 + 1e-12
+    five = random_pure_state((2,) * 5, seed=27)
     with pytest.raises(EnumerationBoundError):
-        higher_invariant(four, SubsetMask.of(4, []), 4)
+        higher_invariant(five, SubsetMask.of(5, []), 4)
