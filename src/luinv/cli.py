@@ -158,11 +158,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .invariants import _check_j_vector, _check_kernel
     from .invariants import i_from_j, invariant_I_vector, invariant_J_vector, j_from_i
     from .states import projector, read_state_file
     from .subsets import SubsetMask
 
     psi = _as_pure(read_state_file(args.state))
+    _check_kernel(psi.dims, 2)  # both vectors' counts, before either is built
+    _check_j_vector(psi.dims)
     ivec = invariant_I_vector(psi)
     jvec = invariant_J_vector(projector(psi))
     forward = j_from_i(ivec)

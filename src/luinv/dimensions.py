@@ -14,6 +14,7 @@ real degree 2m.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from .characters import ClassFunction, _check_degree, _square_sum, inner_product, trivial_character
@@ -48,10 +49,10 @@ def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
 
     The partition cutoff counts rows, since the corresponding Schur functor
     vanishes exactly when the partition has more rows than the local
-    dimension.  The product's integers grow with the number L of dims, so
-    its work grows as L^2.  It is refused before any character is built past
-    the degree bound, or when m^2 * max(1, L-1), the count of the Hilbert
-    series of the same L + 1 subsystems, exceeds SERIES_WORK_BOUND.
+    dimension.  Dims with the same cutoff min(n, m) share one power, at most
+    max(m, 1) of them, whose integers grow with the number L of dims.  It is refused before any character is built past the degree
+    bound, or when m^2 * max(1, L-1), the count of the Hilbert series of the
+    same L + 1 subsystems, exceeds SERIES_WORK_BOUND.
     """
     if m < 0 or any(n < 1 for n in bounded_dims):
         raise ValueError("need m >= 0 and positive dimensions")
@@ -61,8 +62,8 @@ def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
     message += f"m^2 * max(1, L-1) = {{}} exceeds {SERIES_WORK_BOUND}"
     check_work((m, m, max(1, count - 1)), SERIES_WORK_BOUND, message)
     product = trivial_character(m).values
-    for n in bounded_dims:
-        product = tuple(x * y for x, y in zip(product, _square_sum(m, min(n, m))))
+    for rows, repeats in Counter(min(n, m) for n in bounded_dims).items():
+        product = tuple(x * y**repeats for x, y in zip(product, _square_sum(m, rows)))
     value = inner_product(trivial_character(m), ClassFunction(m, product))
     if value.denominator != 1:
         raise IntegralityError(f"restricted dimension not integral: {value}")

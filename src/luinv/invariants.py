@@ -6,7 +6,7 @@ I_A and the higher-order invariants come from one kernel, an orbit sum per
 subsystem (checked in tests against higher_basis_vector in
 tests/oracles.py); Meyer-Wallach is read from the I-vector, the J-vector
 takes one pass per subsystem, and the I/J transform is a Walsh-Hadamard
-transform, exact on int and Fraction.
+transform, in float64 on floats and exact on int and Fraction.
 
 Subsystem labels are 1-based (SubsetMask); basis-state indices are 0-based.
 """
@@ -51,10 +51,12 @@ def _require_subset(state_k: int, subset: SubsetMask) -> None:
         raise ValueError(f"subset is over {subset.k} labels, state has {state_k}")
 
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+def _walsh_hadamard(values: tuple) -> np.ndarray:
     """sum over B of (-1)^|A cap B| values[B] for every A (length 2^k), by
-    k butterfly passes in place; ints and Fractions in object arrays stay
-    exact."""
+    k butterfly passes in place: in float64 when every value is a float,
+    else over Python objects, so int and Fraction input stays exact."""
+    exact = not all(isinstance(value, float) for value in values)
+    values = np.array(values, dtype=object if exact else float)
     half = 1
     while half < len(values):
         pairs = values.reshape(-1, 2, half)
@@ -107,6 +109,13 @@ def _check_kernel(dims: tuple[int, ...], m: int) -> None:
         check_work(factors, I_TABLE_BOUND, message)
 
 
+def _check_j_vector(dims: tuple[int, ...]) -> None:
+    """Refuse the J-vector past I_TABLE_BOUND entries, the prod over j of
+    (n_j^2 + 1) it builds."""
+    message = f"refusing a J-vector of {{}} entries (dims {dims}, limit {I_TABLE_BOUND})"
+    check_work((n * n + 1 for n in dims), I_TABLE_BOUND, message)
+
+
 def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     """||(P_1 x ... x P_k) psi^m||^2 for every subset A in binary order, m >= 2.
     Per subsystem, the m! gathered copies of each orbit sum to plus (even
@@ -148,12 +157,12 @@ def invariant_I_vector(psi: PureState) -> InvariantVector:
 
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
-    """Degree-4 invariant attached to the subset, read off the I-vector.
-
-    Defined for every subset; vanishes when the subset has odd size.
-    """
+    """Degree-4 invariant attached to the subset, 0.0 when its size is odd:
+    higher_invariant at m = 2.  That is the I-vector's entry bit for bit on
+    a state without 1-dimensional subsystems; higher_invariant drops those,
+    and the BLAS dots then sum in another order, a few ulps apart."""
     _require_subset(psi.k, subset)
-    return invariant_I_vector(psi)[subset]
+    return 0.0 if len(subset) % 2 else higher_invariant(psi, subset, 2)
 
 
 def invariant_J(rho: DensityMatrix, subset: SubsetMask) -> float:
@@ -169,8 +178,7 @@ def invariant_J_vector(rho: DensityMatrix) -> InvariantVector:
     then sum over the kept entries or take the traced one, in turn.  Refused
     when prod over j of (n_j^2 + 1) entries exceeds I_TABLE_BOUND."""
     dims, k = rho.dims, rho.k
-    message = f"refusing a J-vector of {{}} entries (dims {dims}, limit {I_TABLE_BOUND})"
-    check_work((n * n + 1 for n in dims), I_TABLE_BOUND, message)
+    _check_j_vector(dims)
     tensor = rho.entries.reshape(dims * 2).transpose([j + c * k for j in range(k) for c in (0, 1)])
     for n in dims:
         kept = tensor.reshape(n * n, -1)
@@ -185,20 +193,14 @@ def invariant_J_vector(rho: DensityMatrix) -> InvariantVector:
 
 def j_from_i(ivec: InvariantVector) -> InvariantVector:
     """J_S = sum over A of (-1)^|A cap S| I_A."""
-    out = _walsh_hadamard(np.array(ivec.values, dtype=object))
-    return InvariantVector(ivec.k, tuple(out.tolist()))
+    return InvariantVector(ivec.k, tuple(_walsh_hadamard(ivec.values).tolist()))
 
 
 def i_from_j(jvec: InvariantVector) -> InvariantVector:
     """I_A = 2^-k sum over B of (-1)^|A cap B| J_B; inverse of j_from_i."""
-    k = jvec.k
-    out = []
-    for total in _walsh_hadamard(np.array(jvec.values, dtype=object)).tolist():
-        if isinstance(total, (int, Fraction)):
-            out.append(Fraction(total, 1 << k))
-        else:
-            out.append(total / (1 << k))
-    return InvariantVector(k, tuple(out))
+    totals = _walsh_hadamard(jvec.values)
+    totals = totals * Fraction(1, 2**jvec.k) if totals.dtype == object else totals / 2**jvec.k
+    return InvariantVector(jvec.k, tuple(totals.tolist()))
 
 
 def eta(rho: DensityMatrix, subset: SubsetMask) -> float:

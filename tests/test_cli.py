@@ -385,6 +385,39 @@ def test_higher_at_m2_prints_the_I_line(tmp_path, capsys):
     assert i_line == "0.021045353\n"
 
 
+def test_eval_I_on_one_dimensional_systems_prints_the_higher_line(tmp_path, capsys):
+    # One I_A is higher at m = 2 on the subsystems of dimension > 1, so 21
+    # one-dimensional systems no longer make it count 2^23 kernel values.
+    path = tmp_path / "wide.state"
+    write_state_file(path, random_pure_state((1,) * 21 + (2, 2), seed=5))
+    argv = ["eval", "--state", str(path), "--subset", "22,23"]
+    i_run = run(capsys, *argv, "--invariant", "I")
+    higher_run = run(capsys, *argv, "--invariant", "higher", "--m", "2")
+    assert i_run == higher_run
+    assert i_run[:2] == (0, "0.008005337\n")
+
+
+def test_transform_refuses_before_building_either_vector(tmp_path, capsys, monkeypatch):
+    # Ten qubits pass the kernel's count but not the J-vector's 5^10
+    # entries: both counts are checked before anything is built.
+    import luinv.invariants
+    import luinv.states
+
+    def boom(*args):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(luinv.invariants, "_projection_norms", boom)
+    monkeypatch.setattr(luinv.states, "projector", boom)
+    path = tmp_path / "q10.state"
+    write_state_file(path, ghz_state(10))
+    code, out, err = run(capsys, "transform", "--state", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        "luinv: refusing a J-vector of 9765625 entries "
+        f"(dims {(2,) * 10}, limit 2097152)\n"
+    )
+
+
 HUGE_INTEGER_ARGVS = [
     ("dims", "--k", "{}", "--m", "2"),
     ("dims", "--k", "3", "--m", "{}"),

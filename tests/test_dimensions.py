@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luinv import (
+    ClassFunction,
     EnumerationBoundError,
     hilbert_series,
+    inner_product,
     mixed_dimension,
     partitions_of,
     restricted_dimension,
     stable_dimension,
     stable_dimension_via_characters,
+    trivial_character,
 )
+from luinv.characters import _square_sum
 
 
 def test_degree_four_count():
@@ -130,6 +134,21 @@ def test_restricted_reaches_stable_exactly_when_every_n_at_least_m(dims, m):
     count equals the stable one if and only if every n_i >= m."""
     stable = stable_dimension(len(dims) + 1, m)
     assert (restricted_dimension(dims, m) == stable) == all(n >= m for n in dims)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 5, 9]), max_size=40),
+    st.integers(min_value=0, max_value=9),
+)
+def test_restricted_dimension_groups_repeated_dims(dims, m):
+    """One power per row cutoff min(n, m) gives the product taken one
+    dimension at a time."""
+    product = trivial_character(m).values
+    for n in dims:
+        product = tuple(x * y for x, y in zip(product, _square_sum(m, min(n, m))))
+    expected = inner_product(trivial_character(m), ClassFunction(m, product))
+    assert restricted_dimension(dims, m) == expected
 
 
 def test_restricted_dimension_is_bounded_like_the_series():

@@ -143,6 +143,24 @@ def test_invariant_I_vanishes_on_odd_subsets():
                 assert abs(invariant_I(psi, subset)) < 1e-12
 
 
+@settings(deadline=None, max_examples=60)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple), seed=seeds)
+def test_invariant_I_is_the_vector_entry(dims, seed):
+    # One I_A is higher_invariant at m = 2, which drops the 1-dimensional
+    # subsystems; only there do the BLAS dots sum in another order.
+    psi = random_pure_state(dims, seed)
+    vector = invariant_I_vector(psi)
+    for subset in all_subsets(len(dims)):
+        value = invariant_I(psi, subset)
+        assert type(value) is float
+        if len(subset) % 2:
+            assert value == 0.0
+        elif 1 in dims:
+            assert value == pytest.approx(vector[subset], rel=1e-14, abs=0.0)
+        else:
+            assert value == vector[subset]
+
+
 def test_invariant_I_product_state():
     psi = _random_product_state((2, 2, 2), seed=3)
     for subset in all_subsets(3):
@@ -288,6 +306,52 @@ def test_j_from_i_matches_purities(dims, seed):
     forward = j_from_i(invariant_I_vector(psi)).values
     jvec = invariant_J_vector(projector(psi)).values
     assert np.abs(np.array(forward) - np.array(jvec)).max() < 1e-12
+
+
+def _object_butterfly(values):
+    """The Walsh-Hadamard butterfly over Python objects, one pair at a time."""
+    out = list(values)
+    half = 1
+    while half < len(out):
+        for start in range(0, len(out), 2 * half):
+            for i in range(start, start + half):
+                out[i], out[i + half] = out[i] + out[i + half], out[i] - out[i + half]
+        half *= 2
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.integers(0, 10), seed=seeds)
+def test_float_transform_matches_object_butterfly(k, seed):
+    # Float input runs in float64, bit for bit what Python floats give.
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(1 << k) * 10.0 ** rng.integers(-8, 9, 1 << k)).tolist()
+    forward = j_from_i(InvariantVector(k, tuple(values))).values
+    backward = i_from_j(InvariantVector(k, tuple(values))).values
+    assert all(type(v) is float for v in forward + backward)
+    assert _bits(forward) == _bits(_object_butterfly(values))
+    assert _bits(backward) == _bits([v / 2**k for v in _object_butterfly(values)])
+
+
+def test_transform_keeps_input_types():
+    ints = InvariantVector(2, (1, 2, 3, 4))
+    assert j_from_i(ints).values == (10, -2, -4, 0)
+    assert all(type(v) is int for v in j_from_i(ints).values)
+    halves = (Fraction(5, 2), Fraction(-1, 2), Fraction(-1), Fraction(0))
+    assert i_from_j(ints).values == halves
+    assert all(type(v) is Fraction for v in i_from_j(ints).values)
+    mixed = InvariantVector(2, (1, 2.5, 3, 4))
+    assert j_from_i(mixed).values == (10.5, -2.5, -3.5, -0.5)
+    assert i_from_j(mixed).values == (2.625, -0.625, -0.875, -0.125)
+    for vec in (j_from_i(mixed), i_from_j(mixed)):
+        assert all(type(v) is float for v in vec.values)
+    # Numpy floats count as floats and come back as Python floats.
+    numpy_floats = InvariantVector(1, (np.float64(1.5), np.float64(0.5)))
+    assert [type(v) for v in i_from_j(numpy_floats).values] == [float, float]
 
 
 def test_transform_exact_on_rationals():
@@ -575,12 +639,11 @@ def test_higher_invariant_matches_I_at_m2():
         ((1, 4, 2), 30), ((2,) * 5, 31),
     ]:
         psi = random_pure_state(dims, seed)
+        vector = invariant_I_vector(psi)
         for subset in all_subsets(len(dims)):
             if len(subset) % 2:
                 continue
-            assert higher_invariant(psi, subset, 2) == pytest.approx(
-                invariant_I(psi, subset), abs=1e-9
-            )
+            assert higher_invariant(psi, subset, 2) == pytest.approx(vector[subset], abs=1e-9)
 
 
 def test_higher_invariant_m1_is_norm():
