@@ -18,15 +18,11 @@ def _block(lang: str, marker: str) -> list[str]:
     return [line for line in body.splitlines() if line.strip()]
 
 
-def _write_states():
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     # bell.state by hand; ghz4.state by the README's own state-file example.
     luinv.write_state_file("bell.state", luinv.ghz_state(2))
     exec("\n".join(_block("python", "write_state_file")), {})
-
-
-def test_readme_cli_block(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    _write_states()
     checked = []
     for line in _block("", "luinv dims"):
         command, _, comment = line.partition(" # ")
@@ -42,8 +38,7 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     assert checked == ["4"]
 
 
-def test_readme_library_block(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_readme_library_block():
     namespace = {}
     names = {name: getattr(luinv, name) for name in luinv.__all__}
     checked = []
