@@ -4,8 +4,8 @@ them, derived entanglement measures, and the higher-order analogues.
 
 I_A and the higher-order invariants come from one kernel, an orbit sum per
 subsystem (checked in tests against higher_basis_vector in
-tests/oracles.py); Meyer-Wallach is read from the I-vector, the J-vector
-takes one pass per subsystem, and the I/J transform is a Walsh-Hadamard
+tests/oracles.py); the J-vector takes one pass per subsystem, Meyer-Wallach
+sums the one-subsystem J_{i}, and the I/J transform is a Walsh-Hadamard
 transform, in float64 on floats and exact on int and Fraction.
 
 Subsystem labels are 1-based (SubsetMask); basis-state indices are 0-based.
@@ -22,11 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import check_work
-from .states import DensityMatrix, PureState, partial_trace
+from .states import DensityMatrix, PureState, partial_trace, projector
 from .subsets import SubsetMask
 
-# Largest entry count of the projection kernel behind I_A, Meyer-Wallach and
-# the higher-order invariants (_check_kernel; ten qubits at m = 2 and four at
+# Largest entry count of the projection kernel behind I_A and the
+# higher-order invariants (_check_kernel; ten qubits at m = 2 and four at
 # m = 4 fit), and of the J-vector, prod over j of (n_j^2 + 1).
 I_TABLE_BOUND = 1 << 21
 
@@ -220,12 +220,14 @@ def eta(rho: DensityMatrix, subset: SubsetMask) -> float:
 
 
 def meyer_wallach(psi: PureState) -> float:
-    """Global entanglement measure 2 - (2/k) sum_i J_{i}, read from the
-    I-vector as sum over A of (4|A|/k) I_A."""
+    """Global entanglement measure 2 - (2/k) sum_i J_{i} on psi psi*, which
+    is refused past PROJECTOR_ENTRY_BOUND entries (states.projector)."""
+    if psi.k == 0:
+        raise ValueError("need at least one subsystem")
     if abs(math.sqrt(psi.norm_squared()) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    values = invariant_I_vector(psi).values
-    return sum(4.0 * bits.bit_count() / psi.k * value for bits, value in enumerate(values))
+    rho, k = projector(psi), psi.k
+    return 2.0 - 2.0 / k * sum(invariant_J(rho, SubsetMask(k, 1 << i)) for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,25 @@ def test_known_claim_reaches_the_first_run(monkeypatch, tmp_path, no_runs):
         bench_pairs.main()
 
 
+def test_record_holds_each_sides_package_lines(monkeypatch, tmp_path):
+    # src/luinv/*.py counts; a data file beside them does not.
+    sources = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}, "change": {"a.py": "x = 1\n"}}
+    argv = checkouts(tmp_path, "--seeds", "1-2")
+    for side, files in sources.items():
+        package = tmp_path / side / "src" / "luinv"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not code\n")
+    run = {"correct": True, "attempted": 1, "failed": 0, "wall_s": 1.0}
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, argv: run)
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: {"tests": 1})
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert record["src_lines"] == {"parent": 3, "change": 1}
+
+
 def test_summarize():
     pairs = [
         {"parent": {"wall_s": p}, "change": {"wall_s": c}}

@@ -397,6 +397,15 @@ def test_eval_I_on_one_dimensional_systems_prints_the_higher_line(tmp_path, caps
     assert i_run[:2] == (0, "0.008005337\n")
 
 
+def test_eval_Q_on_one_dimensional_systems(tmp_path, capsys):
+    # Q sums the one-subsystem J_{i} of psi psi*, a 1x1 matrix here, so 22
+    # one-dimensional systems no longer make it count 2^22 kernel values.
+    path = tmp_path / "product.state"
+    write_state_file(path, PureState((1,) * 22, np.ones(1)))
+    code, out, _ = run(capsys, "eval", "--state", str(path), "--invariant", "Q")
+    assert (code, out) == (0, "0.000000000\n")
+
+
 def test_transform_refuses_before_building_either_vector(tmp_path, capsys, monkeypatch):
     # Ten qubits pass the kernel's count but not the J-vector's 5^10
     # entries: both counts are checked before anything is built.

@@ -211,8 +211,6 @@ def test_I_vector_refuses_large_states():
         psi = PureState(dims, np.ones(math.prod(dims)))
         with pytest.raises(EnumerationBoundError, match="projection kernel"):
             invariant_I_vector(psi)
-        with pytest.raises(EnumerationBoundError):
-            meyer_wallach(psi.normalized())
 
 
 def test_I_vector_admits_the_edge():
@@ -412,6 +410,41 @@ def test_meyer_wallach_requires_normalization():
     doubled = type(psi)((2, 2), 2.0 * psi.coeffs)
     with pytest.raises(ValueError):
         meyer_wallach(doubled)
+
+
+def test_meyer_wallach_refuses_no_subsystems():
+    with pytest.raises(ValueError, match="at least one subsystem"):
+        meyer_wallach(PureState((), np.ones(1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple), seed=seeds)
+def test_meyer_wallach_is_the_weighted_I_vector_sum(dims, seed):
+    # Q = 2 - (2/k) sum_i J_{i} = sum over A of (4|A|/k) I_A, by the I/J
+    # transform: the I-vector is Q's oracle, independent of the J traces.
+    psi = random_pure_state(dims, seed)
+    values = invariant_I_vector(psi).values
+    expected = sum(4.0 * bits.bit_count() / psi.k * value for bits, value in enumerate(values))
+    q = meyer_wallach(psi)
+    assert q == pytest.approx(expected, abs=1e-12)
+    assert q >= -1e-12
+
+
+def test_meyer_wallach_is_bounded_by_the_projector():
+    # Q builds psi psi*, refused past PROJECTOR_ENTRY_BOUND = 2^22 entries:
+    # 2048^2 fits, 2049^2 and 4096^2 do not.  1-dimensional subsystems cost
+    # nothing and have J_{i} = 1, so they scale Q by k'/k.
+    for dims in [(2,) * 11, (2048,)]:
+        psi = random_pure_state(dims, seed=37)
+        assert 0.0 <= meyer_wallach(psi) + 1e-12 <= 2.0
+    assert meyer_wallach(PureState((1,) * 22, np.ones(1))) == 0.0
+    two = random_pure_state((2, 2), seed=38)
+    wide = PureState((1,) * 21 + (2, 2), two.coeffs)
+    assert meyer_wallach(wide) == pytest.approx(2 / 23 * meyer_wallach(two), rel=1e-12)
+    for dims in [(2,) * 12, (2049,)]:
+        psi = PureState(dims, np.ones(math.prod(dims))).normalized()
+        with pytest.raises(EnumerationBoundError, match="projector"):
+            meyer_wallach(psi)
 
 
 def test_lu_invariance_of_I_and_J():

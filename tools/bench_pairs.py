@@ -15,12 +15,14 @@ pair and, per end-to-end metric, both sides' medians and inclusive quartiles
 (statistics.quantiles), the number of pairs in which the change was lower,
 and the change of the median relative to the parent's, then one traced 30-s
 library run per side (--trace 1, seed --trace-seed) and one Tier-1 pytest run
-per side, its summary line tallied by outcome.
+per side, its summary line tallied by outcome.  It also records each side's
+line count of src/luinv/*.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -69,6 +71,15 @@ def run_tier1(checkout: str) -> dict:
         "exit_code": proc.returncode,
         "pytest_s": round(seconds, 2),
     }
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of the package's modules, src/luinv/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "luinv", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def tally(tail: str) -> dict:
@@ -158,6 +169,7 @@ def main() -> int:
             "the parent ran first in odd-seed pairs, the change in even-seed pairs; "
             "quartiles are the inclusive method of statistics.quantiles"
         ),
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
     if args.claimed:
         out["claimed"] = {"workload": workload, "metric": metric}
