@@ -220,14 +220,14 @@ def eta(rho: DensityMatrix, subset: SubsetMask) -> float:
 
 
 def meyer_wallach(psi: PureState) -> float:
-    """Global entanglement measure 2 - (2/k) sum_i J_{i} on psi psi*, which
-    is refused past PROJECTOR_ENTRY_BOUND entries (states.projector)."""
+    """Global entanglement measure (2/k) sum_i (1 - J_{i}) on psi psi*
+    (states.projector); a 1-dimensional subsystem has J_{i} = 1 and is dropped."""
     if psi.k == 0:
         raise ValueError("need at least one subsystem")
     if abs(math.sqrt(psi.norm_squared()) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    rho, k = projector(psi), psi.k
-    return 2.0 - 2.0 / k * sum(invariant_J(rho, SubsetMask(k, 1 << i)) for i in range(k))
+    rho = projector(PureState(tuple(n for n in psi.dims if n > 1), psi.coeffs))
+    return 2.0 / psi.k * sum(1.0 - invariant_J(rho, SubsetMask(rho.k, 1 << i)) for i in range(rho.k))
 
 
 # ---------------------------------------------------------------------------

@@ -432,12 +432,14 @@ def test_meyer_wallach_is_the_weighted_I_vector_sum(dims, seed):
 
 def test_meyer_wallach_is_bounded_by_the_projector():
     # Q builds psi psi*, refused past PROJECTOR_ENTRY_BOUND = 2^22 entries:
-    # 2048^2 fits, 2049^2 and 4096^2 do not.  1-dimensional subsystems cost
-    # nothing and have J_{i} = 1, so they scale Q by k'/k.
+    # 2048^2 fits, 2049^2 and 4096^2 do not.  1-dimensional subsystems have
+    # J_{i} = 1, so they scale Q by k'/k, and are dropped before any trace:
+    # one trace per subsystem, each over all k labels, would take O(k^2).
     for dims in [(2,) * 11, (2048,)]:
         psi = random_pure_state(dims, seed=37)
         assert 0.0 <= meyer_wallach(psi) + 1e-12 <= 2.0
-    assert meyer_wallach(PureState((1,) * 22, np.ones(1))) == 0.0
+    for k in (22, 100_000):
+        assert meyer_wallach(PureState((1,) * k, np.ones(1))) == 0.0
     two = random_pure_state((2, 2), seed=38)
     wide = PureState((1,) * 21 + (2, 2), two.coeffs)
     assert meyer_wallach(wide) == pytest.approx(2 / 23 * meyer_wallach(two), rel=1e-12)
