@@ -41,7 +41,7 @@ _EXPORTS = {
 }
 # Loaded and bound as one; `invariants` imports `states`.  Keep the tier:
 # the benchmark's set-up touches only `luinv.states`, and its tracer wraps
-# only the modules loaded by then, so split loading reads 0 invariants calls.
+# only the modules loaded by then, so without it no `invariants` call counts.
 _NUMPY_TIER = ("invariants", "states")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 

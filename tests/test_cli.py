@@ -398,8 +398,8 @@ def test_eval_I_on_one_dimensional_systems_prints_the_higher_line(tmp_path, caps
 
 
 def test_eval_Q_on_one_dimensional_systems(tmp_path, capsys):
-    # Q sums the one-subsystem J_{i} of psi psi*, a 1x1 matrix here, so 22
-    # one-dimensional systems no longer make it count 2^22 kernel values.
+    # Q reads the one-subsystem J_{i} of psi psi*, a 1x1 matrix here, and
+    # never counts the 2^22 values of the projection kernel.
     path = tmp_path / "product.state"
     write_state_file(path, PureState((1,) * 22, np.ones(1)))
     code, out, _ = run(capsys, "eval", "--state", str(path), "--invariant", "Q")
