@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -161,7 +162,7 @@ def _cmd_transform(args) -> int:
     from .invariants import _check_j_vector, _check_kernel
     from .invariants import i_from_j, invariant_I_vector, invariant_J_vector, j_from_i
     from .states import projector, read_state_file
-    from .subsets import SubsetMask
+    from .subsets import subset_labels
 
     psi = _as_pure(read_state_file(args.state))
     _check_kernel(psi.dims, 2)  # both vectors' counts, before either is built
@@ -173,8 +174,8 @@ def _cmd_transform(args) -> int:
     pairs = ((forward, jvec), (backward, ivec))
     residual = max(abs(a - b) for x, y in pairs for a, b in zip(x.values, y.values))
     print("# subset\tI\tJ")
-    for bits, (i_value, j_value) in enumerate(zip(ivec.values, jvec.values)):
-        print(f"{SubsetMask(psi.k, bits)}\t{_fmt(i_value)}\t{_fmt(j_value)}")
+    for label, i_value, j_value in zip(subset_labels(psi.k), ivec.values, jvec.values):
+        print(f"{label}\t{_fmt(i_value)}\t{_fmt(j_value)}")
     print(f"# max_residual\t{residual:.3e}")
     return 0
 
@@ -264,5 +265,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry of `luinv` and `python -m luinv.cli`: main(), then end
+    the process without interpreter teardown, which would only free every
+    numpy and luinv object just before the kernel reclaims the memory.  The
+    flushes come first, since os._exit drops buffered output; if one fails
+    (a closed or full stdout), sys.exit takes the normal path, whose own
+    flush reports the error and exits 120.  A usage error or an uncaught
+    exception leaves main() before this and also exits the normal way."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when started with the descriptor closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -116,6 +116,19 @@ def _check_j_vector(dims: tuple[int, ...]) -> None:
     check_work((n * n + 1 for n in dims), I_TABLE_BOUND, message)
 
 
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows by halving, so that each column sums in an order set
+    by the row count alone; a BLAS product or a numpy sum picks its order by
+    the array's shape, the column count included."""
+    while len(rows) > 1:
+        half = len(rows) // 2
+        summed = rows[:half] + rows[half : 2 * half]
+        if len(rows) % 2:
+            summed[0] += rows[-1]
+        rows = summed
+    return rows.sum(0)  # of one row or none
+
+
 def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     """||(P_1 x ... x P_k) psi^m||^2 for every subset A in binary order, m >= 2.
     Per subsystem, the m! gathered copies of each orbit sum to plus (even
@@ -144,8 +157,9 @@ def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     norms = tensor.real**2 + tensor.imag**2
     for _, distinct, weights in tables:
         norms = norms.reshape(len(weights) + distinct, -1)
-        anti = norms[len(weights) :].sum(0) / math.factorial(m)
-        norms = np.stack([weights @ norms[: len(weights)], anti], -1)
+        sym = _row_sum(weights[:, None] * norms[: len(weights)])
+        anti = _row_sum(norms[len(weights) :]) / math.factorial(m)
+        norms = np.stack([sym, anti], -1)
     return norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
 
 
@@ -158,9 +172,7 @@ def invariant_I_vector(psi: PureState) -> InvariantVector:
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
     """Degree-4 invariant attached to the subset, 0.0 when its size is odd:
-    higher_invariant at m = 2.  That is the I-vector's entry bit for bit on
-    a state without 1-dimensional subsystems; higher_invariant drops those,
-    and the BLAS dots then sum in another order, a few ulps apart."""
+    higher_invariant at m = 2, the I-vector's entry bit for bit."""
     _require_subset(psi.k, subset)
     return 0.0 if len(subset) % 2 else higher_invariant(psi, subset, 2)
 

@@ -61,3 +61,13 @@ class SubsetMask:
 def all_subsets(k: int) -> list[SubsetMask]:
     """All 2^k subsets in binary order: bitmask 0, 1, ..., 2^k - 1."""
     return [SubsetMask(k, bits) for bits in range(1 << k)]
+
+
+def subset_labels(k: int) -> list[str]:
+    """str() of all 2^k subsets in binary order, as all_subsets(k) lists
+    them, without building one SubsetMask per subset: the masks from 2^(j-1)
+    to 2^j - 1 are those below 2^(j-1) with label j appended."""
+    members = [""]
+    for j in range(1, k + 1):
+        members += [f"{prefix},{j}" if prefix else str(j) for prefix in members]
+    return [f"({text})" for text in members]

@@ -106,6 +106,45 @@ def test_record_holds_each_sides_package_lines(monkeypatch, tmp_path):
     assert record["src_lines"] == {"parent": 3, "change": 1}
 
 
+def test_claim_verdict_and_a_traced_run_per_workload(monkeypatch, tmp_path):
+    # The change reads 1.0 lower in both pairs; the parent's quartiles are 10.25 and 10.75.
+    runs = []
+
+    def fake_run(checkout, argv):
+        runs.append((os.path.basename(checkout), argv[3], argv[-1]))
+        wall = {"2": 10.0, "3": 11.0}.get(argv[5], 0.0) - checkout.endswith("change")
+        return {"correct": True, "attempted": 1, "failed": 0, "wall_s": wall, "peak_rss_mib": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: {"tests": 1})
+    monkeypatch.setattr(sys, "argv", checkouts(tmp_path, "--seeds", "2-3", "--claimed", "cli:wall_s"))
+    assert bench_pairs.main() == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    summaries = {w: record["workloads"][w]["summary"] for w in ("library", "cli")}
+    assert summaries["cli"]["wall_s"]["claim_met"] is True
+    assert "claim_met" not in summaries["cli"]["peak_rss_mib"]
+    assert all("claim_met" not in entry for entry in summaries["library"].values())
+    assert set(record["traced"]) == {"library", "cli"}
+    traced = [(side, workload) for side, workload, trace in runs if trace == "1"]
+    assert traced == [("parent", "library"), ("change", "library"), ("parent", "cli"), ("change", "cli")]
+    assert record["traced"]["cli"]["command"].startswith("python3 perfbench/run.py --workload cli --seed 1 ")
+
+
+@pytest.mark.parametrize(
+    "parent, change, met",
+    [
+        ([10.0] * 9 + [10.4], [9.0] * 9 + [10.4], True),  # 9/10 lower, the tie counting for neither
+        ([10.0] * 8 + [10.4] * 2, [9.0] * 8 + [10.4] * 2, False),  # 8/10 lower
+        ([9.0, 9.5, 10.0, 10.5, 11.0], [7.9, 8.4, 8.9, 9.4, 9.9], True),  # medians 1.1 apart, quartiles 1.0
+        ([9.0, 9.5, 10.0, 10.5, 11.0], [8.0, 8.5, 9.0, 9.5, 10.0], False),  # 1.0 apart: not past the spread
+        ([1.0, 2.0], [1.5, 1.5], False),
+    ],
+    ids=["nine-of-ten", "eight-of-ten", "median-past-spread", "median-within-spread", "one-of-two"],
+)
+def test_claim_met(parent, change, met):
+    assert bench_pairs.claim_met(parent, change) is met
+
+
 def test_summarize():
     pairs = [
         {"parent": {"wall_s": p}, "change": {"wall_s": c}}

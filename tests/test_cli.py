@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_transform_output(tmp_path, capsys):
     expected = ["# subset\tI\tJ"]
     for bits in range(1 << 12):
         i_value = "1.000000000" if bits == 0 else "0.000000000"
-        expected.append(f"{SubsetMask.from_bits(12, bits)}\t{i_value}\t1.000000000")
+        expected.append(f"{SubsetMask(12, bits)}\t{i_value}\t1.000000000")
     expected.append("# max_residual\t0.000e+00")
     assert out.splitlines() == expected
     assert len(expected) == 4098
@@ -493,3 +494,83 @@ def test_byte_determinism(tmp_path, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 2
+
+
+# The process entry, cli.run: one `python -m luinv.cli` process per case,
+# against main(argv) in this process.
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def in_a_process(argv, cwd, buffered=False, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of one process; a buffered stdout is the
+    default when PYTHONUNBUFFERED is unset."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "luinv.cli", *argv], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+PROCESS_CASES = [  # (argv, exit code)
+    (("dims", "--k", "3", "--m", "2"), 0),
+    (("hilbert", "--k", "2", "--order", "4"), 0),
+    (("subgroups", "--rank", "2", "--max-index", "3"), 0),
+    (("orbits", "--tuple-length", "2", "--m", "3"), 0),
+    (("char-table", "--m", "4"), 0),
+    (("eval", "--invariant", "I", "--state", "bell.state", "--subset", "1,2"), 0),
+    (("transform", "--state", "bell.state"), 0),
+    (("rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "1"), 0),
+    (("eval", "--invariant", "J", "--state", "nan.state", "--subset", "1"), 2),
+    (("dims", "--k", "3", "--m", "2000"), 3),
+    (("dims", "--bogus"), 2),
+    (("--help",), 0),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", PROCESS_CASES, ids=[" ".join(argv) for argv, _ in PROCESS_CASES])
+def test_process_matches_main(tmp_path, capsys, monkeypatch, argv, exit_code):
+    # The help text wraps at the terminal width, so fix it for both runs.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    write_state_file("bell.state", ghz_state(2))
+    entries = ["0.25 0.0" if i == j else "0.0 0.0" for i in range(4) for j in range(4)]
+    entries[5] = "nan 0.0"
+    (tmp_path / "nan.state").write_text("mixed\ndims 2 2\n" + "\n".join(entries) + "\n")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert in_a_process(argv, tmp_path) == (code, captured.out.encode(), captured.err.encode())
+
+
+def test_long_transform_arrives_whole_through_a_pipe(tmp_path, capsys):
+    # 2^16 rows through a buffered stdout: run() flushes before os._exit.
+    path = tmp_path / "ones.state"
+    write_state_file(path, PureState((1,) * 16, np.array([1.0])))
+    code, out, _ = run(capsys, "transform", "--state", str(path))
+    assert (code, out.count("\n")) == (0, 65538)
+    assert in_a_process(["transform", "--state", str(path)], tmp_path, buffered=True) == (0, out.encode(), b"")
+
+
+def test_closed_pipe_exits_120(tmp_path):
+    # The reader is gone before the buffered stdout is flushed: the flush in
+    # run() fails, and the normal exit reports it, as Python does.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = in_a_process(["dims", "--k", "3", "--m", "2"], tmp_path, buffered=True, stdout=write)
+    finally:
+        os.close(write)
+    assert code == 120
+    assert err.startswith(b"Exception ignored") and b"BrokenPipeError" in err
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"luinv": "luinv.cli:run"}

@@ -147,18 +147,13 @@ def test_invariant_I_vanishes_on_odd_subsets():
 @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple), seed=seeds)
 def test_invariant_I_is_the_vector_entry(dims, seed):
     # One I_A is higher_invariant at m = 2, which drops the 1-dimensional
-    # subsystems; only there do the BLAS dots sum in another order.
+    # subsystems; the kernel's row-by-row sums keep the entry bit for bit.
     psi = random_pure_state(dims, seed)
     vector = invariant_I_vector(psi)
     for subset in all_subsets(len(dims)):
         value = invariant_I(psi, subset)
         assert type(value) is float
-        if len(subset) % 2:
-            assert value == 0.0
-        elif 1 in dims:
-            assert value == pytest.approx(vector[subset], rel=1e-14, abs=0.0)
-        else:
-            assert value == vector[subset]
+        assert value == (0.0 if len(subset) % 2 else vector[subset])
 
 
 def test_invariant_I_product_state():

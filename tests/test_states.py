@@ -106,7 +106,7 @@ def test_partial_trace_bell():
 def test_partial_trace_preserves_trace():
     rho = random_density_matrix((2, 2, 3), seed=4)
     for bits in range(8):
-        traced = SubsetMask.from_bits(3, bits)
+        traced = SubsetMask(3, bits)
         assert partial_trace(rho, traced).trace() == pytest.approx(
             rho.trace(), abs=1e-12
         )
@@ -142,7 +142,7 @@ def test_partial_trace_matches_axis_by_axis_trace():
     for dims in [(2, 1, 3), (1, 2, 1, 2), (3, 1), (1, 1)]:
         rho = random_density_matrix(dims, seed=len(dims))
         for bits in range(1 << len(dims)):
-            traced = SubsetMask.from_bits(len(dims), bits)
+            traced = SubsetMask(len(dims), bits)
             reduced = partial_trace(rho, traced)
             assert reduced.dims == tuple(n for j, n in enumerate(dims, 1) if j not in traced)
             assert np.abs(reduced.entries - _trace_axis_by_axis(rho, traced)).max() < 1e-12

@@ -3,6 +3,7 @@ import operator
 import pytest
 
 from luinv import SubsetMask, all_subsets
+from luinv.subsets import subset_labels
 
 
 def _reference(k: int, bits: int) -> frozenset[int]:
@@ -11,9 +12,11 @@ def _reference(k: int, bits: int) -> frozenset[int]:
 
 @pytest.mark.parametrize("k", range(6))
 def test_mask_matches_frozenset_reference(k):
+    labels = subset_labels(k)
+    assert len(labels) == 1 << k
     for bits in range(1 << k):
         members = _reference(k, bits)
-        subset = SubsetMask.from_bits(k, bits)
+        subset = SubsetMask(k, bits)
         of = SubsetMask.of(k, sorted(members, reverse=True))
         assert of == subset and hash(of) == hash(subset)
         assert (subset.k, subset.bits, operator.index(subset)) == (k, bits, bits)
@@ -22,7 +25,7 @@ def test_mask_matches_frozenset_reference(k):
         assert list(subset) == sorted(members)
         assert [j in subset for j in range(-1, k + 3)] == [j in members for j in range(-1, k + 3)]
         assert subset.is_full() == (members == frozenset(range(1, k + 1)))
-        assert str(subset) == "(" + ",".join(str(j) for j in sorted(members)) + ")"
+        assert str(subset) == labels[bits] == "(" + ",".join(str(j) for j in sorted(members)) + ")"
 
 
 def test_all_subsets_in_binary_order():
@@ -40,7 +43,7 @@ def test_of_rejects_labels_out_of_range():
     with pytest.raises(ValueError, match="k must be nonnegative"):
         SubsetMask.of(-1)
     with pytest.raises(ValueError, match="k must be nonnegative"):
-        SubsetMask.from_bits(-1, 0)
+        SubsetMask(-1, 0)
 
 
 def test_from_bits_rejects_masks_out_of_range():

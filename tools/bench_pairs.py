@@ -13,10 +13,11 @@ run: its bytecode would spare that side the compiling that the other
 does.  Each run's last stdout line is its result.  The file holds every
 pair and, per end-to-end metric, both sides' medians and inclusive quartiles
 (statistics.quantiles), the number of pairs in which the change was lower,
-and the change of the median relative to the parent's, then one traced 30-s
-library run per side (--trace 1, seed --trace-seed) and one Tier-1 pytest run
-per side, its summary line tallied by outcome.  It also records each side's
-line count of src/luinv/*.py.
+and the change of the median relative to the parent's; with --claimed, that
+metric's summary also holds the verdict `claim_met`.  Then come one traced
+30-s run per workload and side (--trace 1, seed --trace-seed) and one Tier-1
+pytest run per side, its summary line tallied by outcome.  It also records
+each side's line count of src/luinv/*.py.
 """
 
 from __future__ import annotations
@@ -114,6 +115,16 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
     return summary
 
 
+def claim_met(parent: list[float], change: list[float]) -> bool:
+    """The rule for claiming a gain on a lower-is-better metric: the change
+    lower in at least nine tenths of the pairs, ties counting for neither,
+    and its median below the parent's by more than the parent's quartile
+    spread."""
+    lower = sum(c < p for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    return 10 * lower >= 9 * len(parent) and statistics.median(parent) - statistics.median(change) > q3 - q1
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -135,7 +146,7 @@ def main() -> int:
         "--claimed", help="library|cli:metric the change claims to improve, an end_to_end metric"
     )
     parser.add_argument("--change-note", default="", help="one line saying what the change does")
-    parser.add_argument("--trace-seed", required=True, type=int, help="seed of the traced library runs")
+    parser.add_argument("--trace-seed", required=True, type=int, help="seed of the traced runs")
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error(f"--seeds needs at least two seeds for quartiles, got {args.seeds}")
@@ -147,10 +158,10 @@ def main() -> int:
         if os.path.isdir(stale):
             parser.error(f"--{side} {root} holds bytecode from an earlier run: {stale}")
     if args.claimed:
-        workload, _, metric = args.claimed.partition(":")
+        claimed_workload, _, metric = args.claimed.partition(":")
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             names = [entry["name"] for entry in json.load(fh)["end_to_end"]]
-        if workload not in WORKLOADS or metric not in names:
+        if claimed_workload not in WORKLOADS or metric not in names:
             parser.error(
                 f"--claimed must be <{'|'.join(WORKLOADS)}>:<an end_to_end metric of the --change "
                 f"BENCHMARK.json: {'|'.join(names)}>, got {args.claimed!r}"
@@ -172,7 +183,7 @@ def main() -> int:
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
     if args.claimed:
-        out["claimed"] = {"workload": workload, "metric": metric}
+        out["claimed"] = {"workload": claimed_workload, "metric": metric}
     out["workloads"] = {}
     for workload in WORKLOADS:
         pairs = []
@@ -184,13 +195,20 @@ def main() -> int:
                 pair[side] = run_bench(roots[side], bench_argv(workload, seed, args.seconds, 0))
             pairs.append(pair)
         metrics = [k for k in pairs[0]["parent"] if k not in ("correct", "attempted", "failed")]
-        out["workloads"][workload] = {"seeds": args.seeds, "pairs": pairs, "summary": summarize(pairs, metrics)}
-    argv = bench_argv("library", args.trace_seed, TRACE_SECONDS, 1)
-    traced = {"command": " ".join(["python3", *argv[1:]]), "first": "parent"}
-    for side in SIDES:
-        log(f"traced library: {side}")
-        traced[side] = run_bench(roots[side], argv)
-    out["traced"] = traced
+        summary = summarize(pairs, metrics)
+        if args.claimed and workload == claimed_workload:
+            summary[metric]["claim_met"] = claim_met(
+                [pair["parent"][metric] for pair in pairs], [pair["change"][metric] for pair in pairs]
+            )
+        out["workloads"][workload] = {"seeds": args.seeds, "pairs": pairs, "summary": summary}
+    out["traced"] = {}
+    for workload in WORKLOADS:
+        argv = bench_argv(workload, args.trace_seed, TRACE_SECONDS, 1)
+        traced = {"command": " ".join(["python3", *argv[1:]]), "first": "parent"}
+        for side in SIDES:
+            log(f"traced {workload}: {side}")
+            traced[side] = run_bench(roots[side], argv)
+        out["traced"][workload] = traced
     tier1 = {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"}
     for side in SIDES:
         log(f"tier-1: {side}")
