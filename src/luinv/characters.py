@@ -35,12 +35,11 @@ CHARACTER_DEGREE_BOUND are refused before any partition is listed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import Partition, centralizer_order, partitions_of
-from .errors import EnumerationBoundError
+from .errors import EnumerationBoundError, Frozen
 
 Rational = int | Fraction
 
@@ -63,18 +62,17 @@ def _classes(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((lam.parts, centralizer_order(lam)) for lam in partitions_of(m))
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Frozen):
     """Exact rational-valued function on the conjugacy classes of S_m."""
 
+    __slots__ = ("m", "values")
     m: int
     values: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(_classes(self.m)):
-            raise ValueError(
-                f"need one value per class of S_{self.m}, got {len(self.values)}"
-            )
+    def __init__(self, m: int, values: tuple[Rational, ...]) -> None:
+        if len(values) != len(_classes(m)):
+            raise ValueError(f"need one value per class of S_{m}, got {len(values)}")
+        Frozen.__init__(self, m, values)
 
 
 def _bead_mask(parts: tuple[int, ...]) -> int:

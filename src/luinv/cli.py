@@ -173,10 +173,11 @@ def _cmd_transform(args) -> int:
     backward = i_from_j(jvec)
     pairs = ((forward, jvec), (backward, ivec))
     residual = max(abs(a - b) for x, y in pairs for a, b in zip(x.values, y.values))
-    print("# subset\tI\tJ")
-    for label, i_value, j_value in zip(subset_labels(psi.k), ivec.values, jvec.values):
-        print(f"{label}\t{_fmt(i_value)}\t{_fmt(j_value)}")
-    print(f"# max_residual\t{residual:.3e}")
+    # One write for the table: with an unbuffered stdout, one print per
+    # row would cost two write calls per row.
+    rows = zip(subset_labels(psi.k), ivec.values, jvec.values)
+    table = "".join(f"{label}\t{_fmt(i_value)}\t{_fmt(j_value)}\n" for label, i_value, j_value in rows)
+    sys.stdout.write(f"# subset\tI\tJ\n{table}# max_residual\t{residual:.3e}\n")
     return 0
 
 

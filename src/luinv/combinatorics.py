@@ -10,21 +10,23 @@ modules index conjugacy classes in exactly this order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import Frozen
 
-@dataclass(frozen=True)
-class Partition:
+
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(not isinstance(p, int) or p <= 0 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if any(not isinstance(p, int) or p <= 0 for p in parts):
+            raise ValueError(f"parts must be positive integers: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        Frozen.__init__(self, parts)
 
     @property
     def m(self) -> int:

@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the work-bound gate."""
+"""Exceptions shared across the package, the work-bound gate, and the base
+of the package's value classes."""
 
 from typing import Iterable
 
@@ -32,3 +33,48 @@ class IntegralityError(ArithmeticError):
 
 class ConsistencyError(RuntimeError):
     """Two internal routes to the same quantity disagreed beyond tolerance."""
+
+
+_set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass lists its
+    fields in __slots__, and its __init__ validates them and passes them to
+    Frozen.__init__, in that order, which sets each one once.  Objects
+    compare, hash and show as a frozen dataclass does, by the tuple of their
+    fields within one class, and assigning or deleting a field raises
+    AttributeError.  This stands in for `dataclasses`, whose import is a
+    large share of a CLI process that needs no numpy."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy through the constructor: the default route for
+        # slots would set each field, which __setattr__ refuses.
+        return type(self), self._fields()

@@ -16,12 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import check_work
+from .errors import Frozen, check_work
 from .states import DensityMatrix, PureState, partial_trace, projector
 from .subsets import SubsetMask
 
@@ -31,16 +29,17 @@ from .subsets import SubsetMask
 I_TABLE_BOUND = 1 << 21
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(Frozen):
     """Values of all 2^k subsets, indexed by their bit masks (SubsetMask)."""
 
+    __slots__ = ("k", "values")
     k: int
     values: tuple
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.k:
-            raise ValueError(f"need 2^{self.k} values, got {len(self.values)}")
+    def __init__(self, k: int, values: tuple) -> None:
+        if len(values) != 1 << k:
+            raise ValueError(f"need 2^{k} values, got {len(values)}")
+        Frozen.__init__(self, k, values)
 
     def __getitem__(self, subset: SubsetMask | int):
         return self.values[subset]
@@ -211,7 +210,12 @@ def j_from_i(ivec: InvariantVector) -> InvariantVector:
 def i_from_j(jvec: InvariantVector) -> InvariantVector:
     """I_A = 2^-k sum over B of (-1)^|A cap B| J_B; inverse of j_from_i."""
     totals = _walsh_hadamard(jvec.values)
-    totals = totals * Fraction(1, 2**jvec.k) if totals.dtype == object else totals / 2**jvec.k
+    if totals.dtype == object:
+        from fractions import Fraction  # exact input only
+
+        totals = totals * Fraction(1, 2**jvec.k)
+    else:
+        totals = totals / 2**jvec.k
     return InvariantVector(jvec.k, tuple(totals.tolist()))
 
 

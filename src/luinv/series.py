@@ -19,33 +19,35 @@ SERIES_WORK_BOUND is refused before any multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import IntegralityError, check_work
+from .errors import Frozen, IntegralityError, check_work
+
+if TYPE_CHECKING:  # imported where a Fraction is built
+    from fractions import Fraction
 
 SERIES_WORK_BOUND = 250_000
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Frozen):
     """A series known exactly modulo t^(order+1)."""
 
+    __slots__ = ("order", "coeffs")
     order: int
     coeffs: tuple[int | Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: tuple[int | Fraction, ...]) -> None:
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
+        Frozen.__init__(self, order, coeffs)
 
     def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
 
-@dataclass(frozen=True)
-class GeneratorCounts:
+class GeneratorCounts(Frozen):
     """Exponents u_1..u_N of an Euler product (1-t^d)^(-u_d).
 
     For the Hilbert series of the k-subsystem invariant algebra, u_d is the
@@ -53,15 +55,17 @@ class GeneratorCounts:
     k-1 generators; k is carried along when known.
     """
 
+    __slots__ = ("u", "k")
     u: tuple[int, ...]
-    k: int | None = None
+    k: int | None
 
-    def __post_init__(self) -> None:
-        for d, value in enumerate(self.u, start=1):
+    def __init__(self, u: tuple[int, ...], k: int | None = None) -> None:
+        for d, value in enumerate(u, start=1):
             if not isinstance(value, int) or value < 0:
                 raise IntegralityError(
                     f"exponent u_{d} = {value} is not a nonnegative integer"
                 )
+        Frozen.__init__(self, u, k)
 
     def __getitem__(self, d: int) -> int:
         """u_d, 1-based."""
@@ -122,6 +126,8 @@ def euler_exponents(s: PowerSeries, k: int | None = None) -> GeneratorCounts:
         rest = b[n] - sum(d * u[d] for d in range(1, n // 2 + 1) if n % d == 0)
         value, remainder = divmod(rest, n)
         if remainder:
+            from fractions import Fraction  # only to name the failure
+
             raise IntegralityError(
                 f"exponent u_{n} = {Fraction(rest, n)} is not an integer"
             )

@@ -14,14 +14,11 @@ stand-in for the system density matrix are joined one einsum at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dimensions import stable_dimension
-from .errors import ConsistencyError, check_work
-from .free_group_census import check_tuple_bound, orbit_representatives
+from .errors import ConsistencyError, Frozen, check_work
 from .subsets import SubsetMask
 
 HERMITICITY_TOL = 1e-12
@@ -40,20 +37,20 @@ PRIME = 2**19 - 1
 PROJECTOR_ENTRY_BOUND = 1 << 22
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Frozen):
+    __slots__ = ("dims", "coeffs")
     dims: tuple[int, ...]
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.dims):
+    def __init__(self, dims: tuple[int, ...], coeffs) -> None:
+        if any(n < 1 for n in dims):
             raise ValueError("dimensions must be positive")
-        coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        if coeffs.size != math.prod(self.dims):
-            raise ValueError(f"expected {math.prod(self.dims)} coefficients, got {coeffs.size}")
+        coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+        if coeffs.size != math.prod(dims):
+            raise ValueError(f"expected {math.prod(dims)} coefficients, got {coeffs.size}")
         if not np.all(np.isfinite(coeffs.view(float))):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        Frozen.__init__(self, dims, coeffs)
 
     @property
     def k(self) -> int:
@@ -72,16 +69,16 @@ class PureState:
         return PureState(self.dims, self.coeffs / norm)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Frozen):
+    __slots__ = ("dims", "entries")
     dims: tuple[int, ...]
     entries: np.ndarray
 
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.dims):
+    def __init__(self, dims: tuple[int, ...], entries) -> None:
+        if any(n < 1 for n in dims):
             raise ValueError("dimensions must be positive")
-        side = math.prod(self.dims)
-        entries = np.asarray(self.entries, dtype=complex)
+        side = math.prod(dims)
+        entries = np.asarray(entries, dtype=complex)
         if entries.shape != (side, side):
             raise ValueError(f"expected a {side}x{side} matrix, got {entries.shape}")
         if not np.isfinite(entries).all():
@@ -89,7 +86,7 @@ class DensityMatrix:
         scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
         if float(np.abs(entries - entries.conj().T).max(initial=0.0)) > HERMITICITY_TOL * scale:
             raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "entries", entries)
+        Frozen.__init__(self, dims, entries)
 
     @property
     def k(self) -> int:
@@ -168,6 +165,8 @@ def _orbit_steps(sys_dims: tuple[int, ...], m: int) -> list:
     the rest, all of them copy j's: at most n^2 products.  Only the w
     subsystems of dimension > 1 get legs; row leg i of copy c is label
     c*w + i, and w*m <= 24 < 52 as 2^(w*m) <= n^m <= RANK_GATHER_BOUND."""
+    from .free_group_census import orbit_representatives
+
     axes = [l for l, n in enumerate(sys_dims) if n > 1]
     rows = [[c * len(axes) + i for i in range(len(axes))] for c in range(m)]
     plans = []
@@ -216,6 +215,11 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
     of max(n^2, columns x m x n^m) entries sampled or visited (none at
     m = 0), as each of a contraction's m steps visits at most n^m tuples.
     """
+    # The exact layers load here, not with the module: `eval` and
+    # `transform` never run them.
+    from .dimensions import stable_dimension
+    from .free_group_census import check_tuple_bound
+
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")

@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import Frozen
 
-@dataclass(frozen=True)
-class SubsetMask:
+
+class SubsetMask(Frozen):
     """A subset of the labels {1, ..., k}, stored as its bit mask: bit j-1 is
     label j.  The mask (also __index__) is its position in an InvariantVector."""
 
+    __slots__ = ("k", "bits")
     k: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, k: int, bits: int) -> None:
+        if k < 0:
             raise ValueError("k must be nonnegative")
-        if not 0 <= self.bits < 1 << self.k:
-            raise ValueError(f"bit mask {self.bits} not within 0..{(1 << self.k) - 1}")
+        if not 0 <= bits < 1 << k:
+            raise ValueError(f"bit mask {bits} not within 0..{(1 << k) - 1}")
+        Frozen.__init__(self, k, bits)
 
     @classmethod
     def of(cls, k: int, members: Iterable[int] = ()) -> "SubsetMask":

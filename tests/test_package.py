@@ -1,6 +1,7 @@
 """The package surface: which names `luinv` exports, and that the exact
 layers and their CLI commands run without importing numpy, each command
-loading only the layers it runs."""
+loading only the layers it runs and no standard-library module it does not
+use."""
 
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import luinv
 from luinv.cli import main
+from luinv.states import ghz_state, write_state_file
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -81,6 +83,15 @@ REMOVED = [
 ]
 UNKNOWN = ["np", "no_such_name", *REMOVED]
 
+# What the first access to a numpy-tier name loads: the tier, and the layers
+# its modules import.  The rank oracle's exact layers are in the tier, so
+# the library benchmark's set-up, through `luinv.states`, loads them all.
+TIER = [
+    "characters", "combinatorics", "dimensions", "errors", "free_group_census",
+    "invariants", "series", "states", "subsets",
+]
+
+CLI = ["luinv.cli", "luinv.errors"]
 # Each combinatorial command, and the layers it loads beyond `cli` and `errors`.
 DIMS_LAYERS = ["characters", "combinatorics", "dimensions", "series"]
 COMBINATORIAL_COMMANDS = [
@@ -92,10 +103,26 @@ COMBINATORIAL_COMMANDS = [
     (["char-table", "--m", "4"], ["characters", "combinatorics"]),
 ]
 
+# Each command on a state file, and the layers it loads beyond `cli` and
+# `errors`: the numpy tier without the rank oracle's exact layers.
+STATE_LAYERS = ["invariants", "states", "subsets"]
+STATE_COMMANDS = [
+    ["eval", "--invariant", "I", "--state", "bell.state", "--subset", "1,2"],
+    ["eval", "--invariant", "J", "--state", "bell.state", "--subset", "1"],
+    ["eval", "--invariant", "eta", "--state", "bell.state", "--subset", "1"],
+    ["eval", "--invariant", "Q", "--state", "bell.state"],
+    ["eval", "--invariant", "higher", "--state", "bell.state", "--subset", "", "--m", "2"],
+    ["transform", "--state", "bell.state"],
+]
+RANK_ORACLE = ["rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "1"]
+ALL_COMMANDS = [argv for argv, _ in COMBINATORIAL_COMMANDS] + STATE_COMMANDS + [RANK_ORACLE]
+# Commands that build no Fraction, so must not import `fractions`.
+NO_FRACTIONS = ["hilbert", "subgroups", "orbits", "eval", "transform"]
+
 # Runs in a fresh interpreter: records, after each step, whether numpy is
 # loaded and which `luinv.*` modules are, then the command's exit code and
-# stdout.
-_NUMPY_FREE_SCRIPT = """
+# stdout, and which of `dataclasses` and `fractions` it left loaded.
+_COMMAND_SCRIPT = """
 import contextlib, io, json, sys
 def loaded():
     return ["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("luinv."))]
@@ -108,7 +135,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = luinv.cli.main(json.loads(sys.argv[1]))
 steps.append(loaded())
-print(json.dumps({"steps": steps, "outcome": [code, out.getvalue()]}))
+stdlib = sorted(m for m in ("dataclasses", "fractions") if m in sys.modules)
+print(json.dumps({"steps": steps, "outcome": [code, out.getvalue()], "stdlib": stdlib}))
 """
 
 # Runs in a fresh interpreter: lists the package before the numpy tier is
@@ -120,7 +148,7 @@ import luinv
 listed = set(dir(luinv))
 numpy_before = "numpy" in sys.modules
 exec(f"from luinv import {first}")
-tier = sorted(m for m in ("luinv.invariants", "luinv.states") if m in sys.modules)
+tier = sorted(m for m in sys.modules if m.startswith("luinv."))
 star = {}
 exec("from luinv import *", star)
 wrong = []
@@ -149,7 +177,7 @@ print(json.dumps({
 """
 
 
-def _fresh(script: str, *args: str) -> dict:
+def _fresh(script: str, *args: str, cwd=None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
@@ -157,20 +185,52 @@ def _fresh(script: str, *args: str) -> dict:
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_combinatorial_commands_never_import_numpy(capsys):
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("states")
+    write_state_file(path / "bell.state", ghz_state(2))
+    return path
+
+
+@pytest.fixture(scope="module")
+def reports(state_dir):
+    """_COMMAND_SCRIPT's report of every command, one fresh process each."""
+    return {tuple(argv): _fresh(_COMMAND_SCRIPT, json.dumps(argv), cwd=state_dir) for argv in ALL_COMMANDS}
+
+
+def test_combinatorial_commands_never_import_numpy(reports, capsys):
     # `import luinv` loads no layer, and each command only the layers it runs.
-    cli = ["luinv.cli", "luinv.errors"]
     for argv, layers in COMBINATORIAL_COMMANDS:
-        report = _fresh(_NUMPY_FREE_SCRIPT, json.dumps(argv))
-        ran = sorted(cli + [f"luinv.{layer}" for layer in layers])
-        assert report["steps"] == [[False, []], [False, cli], [False, ran]], argv
+        report = reports[tuple(argv)]
+        ran = sorted(CLI + [f"luinv.{layer}" for layer in layers])
+        assert report["steps"] == [[False, []], [False, CLI], [False, ran]], argv
         assert report["outcome"] == [main(argv), capsys.readouterr().out], argv
+
+
+def test_state_commands_skip_the_exact_layers(reports, state_dir, monkeypatch, capsys):
+    # `eval` and `transform` load the numpy tier but not the exact layers,
+    # which only the rank oracle in `states` runs.
+    monkeypatch.chdir(state_dir)
+    ran = sorted(CLI + [f"luinv.{layer}" for layer in STATE_LAYERS])
+    for argv in STATE_COMMANDS:
+        report = reports[tuple(argv)]
+        assert report["steps"] == [[False, []], [False, CLI], [True, ran]], argv
+        assert report["outcome"] == [main(argv), capsys.readouterr().out], argv
+
+
+def test_commands_import_no_dataclasses_and_fractions_only_to_build_one(reports):
+    for argv in ALL_COMMANDS:
+        stdlib = reports[tuple(argv)]["stdlib"]
+        assert "dataclasses" not in stdlib, argv
+        if argv[0] in NO_FRACTIONS:
+            assert "fractions" not in stdlib, argv
 
 
 @pytest.mark.parametrize("first", ["eta", "PureState", "invariants", "states"])
@@ -179,7 +239,7 @@ def test_public_api_is_unchanged(first):
     assert report == {
         "unlisted": [],
         "numpy_before": False,
-        "tier": ["luinv.invariants", "luinv.states"],
+        "tier": [f"luinv.{layer}" for layer in TIER],
         "wrong": [],
         "resolved_unknown": [],
     }

@@ -348,12 +348,16 @@ def test_fast_contraction_table_matches_direct():
 
 
 def test_rank_oracle_refuses_before_the_census_walk(monkeypatch):
-    import luinv.states as states_module
+    # The rank oracle imports the walk when it runs, so the patch on the
+    # census module is the one it would call.
+    import luinv.free_group_census as census_module
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walked the census before refusing")
 
-    monkeypatch.setattr(states_module, "orbit_representatives", no_walk)
+    monkeypatch.setattr(census_module, "orbit_representatives", no_walk)
+    with pytest.raises(AssertionError, match="walked the census"):
+        invariant_space_rank((2,), 2, seed=1)  # admitted, so it walks
     # 2^18 columns pass the tuple bound, but not the gather bound.
     with pytest.raises(EnumerationBoundError, match="262144 contractions"):
         invariant_space_rank((1,) * 18, 2, seed=1)
