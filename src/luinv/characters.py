@@ -35,13 +35,15 @@ CHARACTER_DEGREE_BOUND are refused before any partition is listed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .combinatorics import Partition, centralizer_order, partitions_of
 from .errors import EnumerationBoundError, Frozen
 
-Rational = int | Fraction
+if TYPE_CHECKING:  # imported where a Fraction is built
+    from fractions import Fraction
+    Rational = int | Fraction
 
 CHARACTER_DEGREE_BOUND = 16
 
@@ -156,6 +158,8 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     handled here are real-valued, so no conjugation is applied to the first
     argument.
     """
+    from fractions import Fraction
+
     if f.m != g.m:
         raise ValueError(f"degree mismatch: S_{f.m} vs S_{g.m}")
     order = math.factorial(f.m)

@@ -14,10 +14,11 @@ real degree 2m.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
-from .characters import ClassFunction, _check_degree, _square_sum, inner_product, trivial_character
+from .characters import _check_degree, _classes, _square_sum
 from .errors import IntegralityError, check_work
 from .series import SERIES_WORK_BOUND, hilbert_series
 
@@ -61,13 +62,16 @@ def restricted_dimension(bounded_dims: Sequence[int], m: int) -> int:
     message = f"refusing a restricted dimension of L={count} bounded dims at m={m}: "
     message += f"m^2 * max(1, L-1) = {{}} exceeds {SERIES_WORK_BOUND}"
     check_work((m, m, max(1, count - 1)), SERIES_WORK_BOUND, message)
-    product = trivial_character(m).values
+    order = math.factorial(m)
+    product = tuple(order // z for _, z in _classes(m))  # the class sizes
     for rows, repeats in Counter(min(n, m) for n in bounded_dims).items():
         product = tuple(x * y**repeats for x, y in zip(product, _square_sum(m, rows)))
-    value = inner_product(trivial_character(m), ClassFunction(m, product))
-    if value.denominator != 1:
-        raise IntegralityError(f"restricted dimension not integral: {value}")
-    return int(value)
+    value, remainder = divmod(sum(product), order)
+    if remainder:
+        from fractions import Fraction  # only to name the failure
+
+        raise IntegralityError(f"restricted dimension not integral: {Fraction(sum(product), order)}")
+    return value
 
 
 def mixed_dimension(k: int, m: int) -> int:

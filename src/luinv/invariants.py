@@ -98,9 +98,9 @@ def _check_kernel(dims: tuple[int, ...], m: int) -> None:
     values, or the largest gather of one subsystem's pass, the m! copies of
     that subsystem's orbits times the m-th power of the others, n_min (n_min
     + 1) ... (n_min + m - 1) (n / n_min)^m for n the product of the dims and
-    n_min the smallest (1 for none).  It also bounds the n^m-entry tensor
-    and _orbit_table's positions.  A huge m is refused in a few factors."""
-    low, n = min(dims, default=1), math.prod(dims)
+    n_min the smallest above 1 (1 for none).  It also bounds the n^m-entry
+    tensor and _orbit_table's positions.  A huge m is refused in a few factors."""
+    low, n = min((d for d in dims if d > 1), default=1), math.prod(dims)
     gather = itertools.chain(range(low, low + m), (n // low for _ in range(m)))
     message = f"refusing a projection kernel of {{}} entries (dims {dims}, m={m}, "
     message += f"limit {I_TABLE_BOUND})"
@@ -115,27 +115,25 @@ def _check_j_vector(dims: tuple[int, ...]) -> None:
     check_work((n * n + 1 for n in dims), I_TABLE_BOUND, message)
 
 
-def _row_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows by halving, so that each column sums in an order set
-    by the row count alone; a BLAS product or a numpy sum picks its order by
-    the array's shape, the column count included."""
-    while len(rows) > 1:
-        half = len(rows) // 2
-        summed = rows[:half] + rows[half : 2 * half]
-        if len(rows) % 2:
-            summed[0] += rows[-1]
-        rows = summed
-    return rows.sum(0)  # of one row or none
+def _kept_masks(dims: tuple[int, ...]) -> list[int]:
+    """Masks of the subsets of the subsystems of dimension > 1 in the kernel's
+    order, the first the slowest; on the others P_j is 1, or 0 on a member."""
+    masks = [0]
+    for j in reversed(range(len(dims))):
+        if dims[j] > 1:
+            masks += [mask | 1 << j for mask in masks]
+    return masks
 
 
 def _projection_norms(psi: PureState, m: int) -> np.ndarray:
-    """||(P_1 x ... x P_k) psi^m||^2 for every subset A in binary order, m >= 2.
+    """||(P_1 x ... x P_k) psi^m||^2, m >= 2, at the subsets of _kept_masks.
     Per subsystem, the m! gathered copies of each orbit sum to plus (even
     sigma) and minus (odd): plus + minus is its symmetric part, plus - minus
     the antisymmetric part of an orbit without a repeat.  Their squared
     moduli, weighted 1/(m! |Stab x|) and 1/m! (powers of two at m = 2, exact
     on integers), sum to the two norms of each subsystem in turn."""
-    dims, k = psi.dims, psi.k
+    dims = tuple(n for n in psi.dims if n > 1)
+    k = len(dims)
     _check_kernel(dims, m)
     tables = [_orbit_table(n, m) for n in dims]
     tensor = functools.reduce(np.multiply.outer, [psi.coeffs] * m).reshape(dims * m)
@@ -156,17 +154,18 @@ def _projection_norms(psi: PureState, m: int) -> np.ndarray:
     norms = tensor.real**2 + tensor.imag**2
     for _, distinct, weights in tables:
         norms = norms.reshape(len(weights) + distinct, -1)
-        sym = _row_sum(weights[:, None] * norms[: len(weights)])
-        anti = _row_sum(norms[len(weights) :]) / math.factorial(m)
-        norms = np.stack([sym, anti], -1)
-    return norms.reshape((2,) * k).transpose(range(k)[::-1]).ravel()
+        anti = norms[len(weights) :].sum(0) / math.factorial(m)
+        norms = np.stack([weights @ norms[: len(weights)], anti], -1)
+    return norms.ravel()
 
 
 def invariant_I_vector(psi: PureState) -> InvariantVector:
     """Degree-4 invariants I_A of every subset A: the projection kernel at
-    m = 2, refused past n^2 (1 + 1/n_min) entries of one pass or 2^k values,
-    n the total dimension (_check_kernel)."""
-    return InvariantVector(psi.k, tuple(_projection_norms(psi, 2).tolist()))
+    m = 2, or 0.0 off _kept_masks, refused past its counts (_check_kernel)."""
+    _check_kernel(psi.dims, 2)  # for the 2^k values; the kernel counts 2^k'
+    values = np.zeros(1 << psi.k)
+    values[_kept_masks(psi.dims)] = _projection_norms(psi, 2)
+    return InvariantVector(psi.k, tuple(values.tolist()))
 
 
 def invariant_I(psi: PureState, subset: SubsetMask) -> float:
@@ -261,9 +260,7 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     group algebra, so it commutes with Sym, and psi^m is already symmetric.
 
     One entry of the projection kernel, refused past its counts
-    (_check_kernel); at m = 1 every P_j is the identity, and a subset with a
-    1-dimensional member gives 0, both without the kernel.  The other
-    1-dimensional subsystems, where P_j is 1, are dropped before it runs.
+    (_check_kernel); at m = 1 the squared norm and off _kept_masks 0.0.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
@@ -272,9 +269,7 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         raise ValueError("need m >= 1")
     if m == 1:
         return psi.norm_squared()
-    if any(psi.dims[j - 1] == 1 for j in subset):
+    masks = _kept_masks(psi.dims)
+    if subset.bits not in masks:
         return 0.0
-    kept = [j for j in range(1, psi.k + 1) if psi.dims[j - 1] > 1]
-    bits = sum(1 << i for i, j in enumerate(kept) if j in subset)
-    reduced = PureState(tuple(psi.dims[j - 1] for j in kept), psi.coeffs)
-    return float(_projection_norms(reduced, m)[bits])
+    return float(_projection_norms(psi, m)[masks.index(subset.bits)])

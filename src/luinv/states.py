@@ -210,10 +210,10 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
     never exceeds the true rank; a sample fails to raise a lower rank with
     probability at most about m/PRIME, or m * 1.9e-6 (Schwartz-Zippel).
     Sampling stops once STALL samples have not raised the rank, or at the
-    column count.  Refused before the census walk past the census's tuple
-    bound, or past RANK_GATHER_BOUND entries over columns + STALL samples
-    of max(n^2, columns x m x n^m) entries sampled or visited (none at
-    m = 0), as each of a contraction's m steps visits at most n^m tuples.
+    column count.  Refused first on a bad seed, then before the census walk
+    past the census's tuple bound, or past RANK_GATHER_BOUND entries over
+    columns + STALL samples of max(n^2, columns x m x n^m) entries sampled
+    or visited (none at m = 0), as each of a contraction's m steps visits at most n^m tuples.
     """
     # The exact layers load here, not with the module: `eval` and
     # `transform` never run them.
@@ -223,6 +223,7 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
     sys_dims = tuple(dims)
     if m < 0:
         raise ValueError("need m >= 0")
+    seeds = np.random.SeedSequence(seed)  # refuses a bad seed before any work
     k = len(sys_dims)
     check_tuple_bound(m, k)
     columns = stable_dimension(k + 1, m)
@@ -239,7 +240,7 @@ def invariant_space_rank(dims: Sequence[int], m: int, seed=0) -> int:
         raise ConsistencyError(f"{len(plans)} conjugation orbits, stable_dimension gives {columns}")
     if m == 0:
         return 1  # the single empty contraction is the constant 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seeds)
     basis, failed = [], 0  # basis: (pivot, echelon row with 1 at the pivot)
     while len(basis) < columns and failed < STALL:
         row = _orbit_contractions(rng.integers(0, PRIME, (n_sys, n_sys)), sys_dims, plans)

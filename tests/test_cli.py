@@ -407,6 +407,22 @@ def test_eval_Q_on_one_dimensional_systems(tmp_path, capsys):
     assert (code, out) == (0, "0.000000000\n")
 
 
+def test_transform_on_a_one_dimensional_factor_counts_the_kernel_above_one(tmp_path, capsys):
+    # The kernel's n_min is the smallest dimension above 1, so with a
+    # 1-dimensional factor and total dimension 1,025 to 1,447 the kernel's
+    # count fits and the J-vector's, at least 2 (n^2 + 1), refuses instead.
+    for n, refusal in [
+        (1025, "a J-vector of 2101252 entries"),
+        (1447, "a J-vector of 4187620 entries"),
+        (1448, "a projection kernel of 2098152 entries"),
+    ]:
+        path = tmp_path / f"pad{n}.state"
+        write_state_file(path, PureState((1, n), np.ones(n)))
+        code, out, err = run(capsys, "transform", "--state", str(path))
+        assert (code, out) == (3, ""), n
+        assert err.startswith(f"luinv: refusing {refusal} (dims (1, {n})"), n
+
+
 def test_transform_refuses_before_building_either_vector(tmp_path, capsys, monkeypatch):
     # Ten qubits pass the kernel's count but not the J-vector's 5^10
     # entries: both counts are checked before anything is built.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from luinv import (
     ClassFunction,
     EnumerationBoundError,
+    IntegralityError,
     hilbert_series,
     inner_product,
     mixed_dimension,
@@ -149,6 +150,16 @@ def test_restricted_dimension_groups_repeated_dims(dims, m):
         product = tuple(x * y for x, y in zip(product, _square_sum(m, min(n, m))))
     expected = inner_product(trivial_character(m), ClassFunction(m, product))
     assert restricted_dimension(dims, m) == expected
+
+
+def test_restricted_dimension_raises_on_an_inexact_division(monkeypatch):
+    # A class sum that m! does not divide raises, and the message names the
+    # quotient as a reduced fraction.
+    import luinv.dimensions
+
+    monkeypatch.setattr(luinv.dimensions, "_square_sum", lambda m, rows: (1, 0))
+    with pytest.raises(IntegralityError, match=r"^restricted dimension not integral: 1/2$"):
+        restricted_dimension((1,), 2)
 
 
 def test_restricted_dimension_is_bounded_like_the_series():

@@ -146,14 +146,48 @@ def test_invariant_I_vanishes_on_odd_subsets():
 @settings(deadline=None, max_examples=60)
 @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple), seed=seeds)
 def test_invariant_I_is_the_vector_entry(dims, seed):
-    # One I_A is higher_invariant at m = 2, which drops the 1-dimensional
-    # subsystems; the kernel's row-by-row sums keep the entry bit for bit.
+    # One I_A is higher_invariant at m = 2, the entry of the same kernel
+    # call on the subsystems of dimension > 1 that fills the I-vector.
     psi = random_pure_state(dims, seed)
     vector = invariant_I_vector(psi)
     for subset in all_subsets(len(dims)):
         value = invariant_I(psi, subset)
         assert type(value) is float
         assert value == (0.0 if len(subset) % 2 else vector[subset])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    pads=st.lists(st.integers(0, 3), max_size=3),
+    seed=seeds,
+)
+def test_one_dimensional_padding_only_adds_zeros(dims, pads, seed):
+    # 1-dimensional factors inserted anywhere leave every value bit for bit
+    # at the mask its subset maps to, and give exactly 0.0 at every subset
+    # with a member among them: in the I-vector and at m = 2 and 3.
+    # float.hex compares the bits, so that -0.0 is not 0.0.
+    psi = random_pure_state(dims, seed)
+    slots = list(range(len(dims)))  # the old label of each new one, or None
+    for position in pads:
+        slots.insert(min(position, len(slots)), None)
+    padded = PureState(tuple(1 if j is None else dims[j] for j in slots), psi.coeffs)
+    kept = [i for i, j in enumerate(slots) if j is not None]
+    old_of = {
+        sum(1 << kept[i] for i in range(len(dims)) if bits >> i & 1): bits
+        for bits in range(1 << len(dims))
+    }
+    vector, padded_vector = invariant_I_vector(psi), invariant_I_vector(padded)
+    for subset in all_subsets(padded.k):
+        old = old_of.get(subset.bits)
+        assert padded_vector[subset].hex() == (0.0 if old is None else vector[old]).hex()
+        for m in (2, 3):
+            if len(subset) % 2:
+                continue
+            expected = 0.0
+            if old is not None:
+                expected = higher_invariant(psi, SubsetMask(len(dims), old), m)
+            assert higher_invariant(padded, subset, m).hex() == expected.hex()
 
 
 def test_invariant_I_product_state():
@@ -215,6 +249,19 @@ def test_I_vector_admits_the_edge():
     for dims in [(2,) * 9, (2,) * 7 + (3,), (2,) * 10, (1447,), (1,) * 21]:
         vector = invariant_I_vector(random_pure_state(dims, seed=29))
         assert sum(vector.values) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_I_vector_counts_its_gather_over_dims_above_one():
+    # n_min is the smallest dimension above 1: (1, 1447) counts 1447 * 1448
+    # = 2,095,256 entries and runs, where n_min = 1 counted 2 * 1447^2;
+    # (1, 1448) still counts 2,098,152 and (1,)*22 its 2^22 values.
+    vector = invariant_I_vector(random_pure_state((1, 1447), seed=29))
+    assert vector.values[1] == vector.values[3] == 0.0
+    assert sum(vector.values) == pytest.approx(1.0, abs=1e-9)
+    for dims, count in [((1, 1448), 2098152), ((1,) * 22, 1 << 22)]:
+        psi = PureState(dims, np.ones(math.prod(dims)))
+        with pytest.raises(EnumerationBoundError, match=f"projection kernel of {count} entries"):
+            invariant_I_vector(psi)
 
 
 def test_I_vector_is_exact_on_integers():
@@ -636,11 +683,12 @@ def test_higher_invariant_ghz_anchor():
 
 def test_kernel_count_only_relaxes_the_two_old_rules():
     # _check_kernel refuses exactly when max(n_min (n_min + 1) ... (n_min +
-    # m - 1) (n / n_min)^m, 2^k) exceeds I_TABLE_BOUND.  That count never
-    # exceeds either rule it replaced: prod n_j(n_j+1)/2 * 2^k of the
-    # I-vector at m = 2, and k * m! * n^m of higher_invariant, whose dims
-    # have no 1 (HIGHER_WORK_BOUND was 10^6 < I_TABLE_BOUND).  The one
-    # exception is no dims at all, counted m! = 2 at m = 2 against 1.
+    # m - 1) (n / n_min)^m, 2^k) exceeds I_TABLE_BOUND, n_min the smallest
+    # dimension above 1 (1 for none).  That count never exceeds either rule
+    # it replaced: prod n_j(n_j+1)/2 * 2^k of the I-vector at m = 2, and
+    # k * m! * n^m of higher_invariant, whose dims have no 1
+    # (HIGHER_WORK_BOUND was 10^6 < I_TABLE_BOUND).  The one exception is no
+    # dims at all, counted m! = 2 at m = 2 against 1.
     from luinv.invariants import I_TABLE_BOUND, _check_kernel
 
     entries = (1, 2, 3, 5, 1447, 1448)
@@ -649,7 +697,7 @@ def test_kernel_count_only_relaxes_the_two_old_rules():
             n = math.prod(dims)
             if k > 1 and n > 5000:
                 continue
-            low = min(dims, default=1)
+            low = min((a for a in dims if a > 1), default=1)
             for m in range(2, 8):
                 count = max(math.prod(range(low, low + m)) * (n // low) ** m, 2**k)
                 if count > I_TABLE_BOUND:
@@ -659,7 +707,7 @@ def test_kernel_count_only_relaxes_the_two_old_rules():
                     _check_kernel(dims, m)
                 if m == 2 and k:
                     assert count <= math.prod(a * (a + 1) // 2 for a in dims) * 2**k
-                if low > 1:
+                if dims and 1 not in dims:
                     assert count <= k * math.factorial(m) * n**m
 
 

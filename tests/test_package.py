@@ -116,12 +116,11 @@ STATE_COMMANDS = [
 ]
 RANK_ORACLE = ["rank-oracle", "--local-dims", "2,2", "--m", "2", "--seed", "1"]
 ALL_COMMANDS = [argv for argv, _ in COMBINATORIAL_COMMANDS] + STATE_COMMANDS + [RANK_ORACLE]
-# Commands that build no Fraction, so must not import `fractions`.
-NO_FRACTIONS = ["hilbert", "subgroups", "orbits", "eval", "transform"]
 
 # Runs in a fresh interpreter: records, after each step, whether numpy is
 # loaded and which `luinv.*` modules are, then the command's exit code and
-# stdout, and which of `dataclasses` and `fractions` it left loaded.
+# stdout, and which of `dataclasses`, `fractions`, `decimal` and `numbers`
+# it left loaded.
 _COMMAND_SCRIPT = """
 import contextlib, io, json, sys
 def loaded():
@@ -135,7 +134,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = luinv.cli.main(json.loads(sys.argv[1]))
 steps.append(loaded())
-stdlib = sorted(m for m in ("dataclasses", "fractions") if m in sys.modules)
+stdlib = sorted(m for m in ("dataclasses", "decimal", "fractions", "numbers") if m in sys.modules)
 print(json.dumps({"steps": steps, "outcome": [code, out.getvalue()], "stdlib": stdlib}))
 """
 
@@ -226,11 +225,11 @@ def test_state_commands_skip_the_exact_layers(reports, state_dir, monkeypatch, c
 
 
 def test_commands_import_no_dataclasses_and_fractions_only_to_build_one(reports):
+    # None of the commands builds a Fraction, so none loads `fractions` or
+    # the `decimal` and `numbers` it imports; numpy loads `numbers` itself.
     for argv in ALL_COMMANDS:
-        stdlib = reports[tuple(argv)]["stdlib"]
-        assert "dataclasses" not in stdlib, argv
-        if argv[0] in NO_FRACTIONS:
-            assert "fractions" not in stdlib, argv
+        numpy_loaded = reports[tuple(argv)]["steps"][-1][0]
+        assert reports[tuple(argv)]["stdlib"] == (["numbers"] if numpy_loaded else []), argv
 
 
 @pytest.mark.parametrize("first", ["eta", "PureState", "invariants", "states"])

@@ -363,6 +363,24 @@ def test_rank_oracle_refuses_before_the_census_walk(monkeypatch):
         invariant_space_rank((1,) * 18, 2, seed=1)
 
 
+def test_rank_oracle_refuses_a_negative_seed_before_any_work(monkeypatch):
+    # The seed is checked first: a negative seed printed 1 at m = 0, and at
+    # m >= 1 was refused only after the dimension and the census walk.
+    import luinv.dimensions
+    import luinv.free_group_census
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before refusing the seed")
+
+    monkeypatch.setattr(luinv.free_group_census, "orbit_representatives", no_work)
+    monkeypatch.setattr(luinv.dimensions, "stable_dimension", no_work)
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="negative"):
+            invariant_space_rank((2, 2), m, seed=-5)
+    with pytest.raises(AssertionError, match="worked before"):
+        invariant_space_rank((2, 2), 0, seed=5)  # a valid seed does reach them
+
+
 def test_modular_contractions_match_python_ints():
     """The int64 einsum fold mod PRIME equals the gathered contraction in
     exact Python integers reduced mod PRIME, with entries near PRIME so
