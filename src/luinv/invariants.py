@@ -260,7 +260,8 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
     group algebra, so it commutes with Sym, and psi^m is already symmetric.
 
     One entry of the projection kernel, refused past its counts
-    (_check_kernel); at m = 1 the squared norm and off _kept_masks 0.0.
+    (_check_kernel); at m = 1 the squared norm, and 0.0 on a subset with a
+    1-dimensional member, both without the kernel.
     """
     _require_subset(psi.k, subset)
     if len(subset) % 2:
@@ -269,7 +270,7 @@ def higher_invariant(psi: PureState, subset: SubsetMask, m: int) -> float:
         raise ValueError("need m >= 1")
     if m == 1:
         return psi.norm_squared()
-    masks = _kept_masks(psi.dims)
-    if subset.bits not in masks:
-        return 0.0
-    return float(_projection_norms(psi, m)[masks.index(subset.bits)])
+    if any(psi.dims[j - 1] == 1 for j in subset):
+        return 0.0  # before the 2^k' masks, which the kernel may refuse
+    norms = _projection_norms(psi, m)
+    return float(norms[_kept_masks(psi.dims).index(subset.bits)])
