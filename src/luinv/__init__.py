@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # Public names, by defining module.
 _EXPORTS = {
     "combinatorics": ("Partition", "centralizer_order", "partitions_of"),
-    "characters": ("ClassFunction", "inner_product", "irreducible_character", "trivial_character"),
+    "characters": ("ClassFunction", "irreducible_character"),
     "dimensions": (
         "mixed_dimension", "restricted_dimension", "stable_dimension",
         "stable_dimension_via_characters",
@@ -28,7 +28,7 @@ _EXPORTS = {
     "free_group_census": ("conjugation_orbit_count", "count_subgroup_classes"),
     "series": (
         "GeneratorCounts", "PowerSeries", "euler_exponents", "expand_euler_product",
-        "free_generator_count", "hilbert_series",
+        "hilbert_series",
     ),
     "subsets": ("SubsetMask", "all_subsets"),
     "invariants": (

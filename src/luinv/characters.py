@@ -34,16 +34,10 @@ CHARACTER_DEGREE_BOUND are refused before any partition is listed.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .combinatorics import Partition, centralizer_order, partitions_of
 from .errors import EnumerationBoundError, Frozen
-
-if TYPE_CHECKING:  # imported where a Fraction is built
-    from fractions import Fraction
-    Rational = int | Fraction
 
 CHARACTER_DEGREE_BOUND = 16
 
@@ -65,13 +59,13 @@ def _classes(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 class ClassFunction(Frozen):
-    """Exact rational-valued function on the conjugacy classes of S_m."""
+    """Exact integer-valued function on the conjugacy classes of S_m."""
 
     __slots__ = ("m", "values")
     m: int
-    values: tuple[Rational, ...]
+    values: tuple[int, ...]
 
-    def __init__(self, m: int, values: tuple[Rational, ...]) -> None:
+    def __init__(self, m: int, values: tuple[int, ...]) -> None:
         if len(values) != len(_classes(m)):
             raise ValueError(f"need one value per class of S_{m}, got {len(values)}")
         Frozen.__init__(self, m, values)
@@ -143,28 +137,6 @@ def irreducible_character(lam: Partition) -> ClassFunction:
     """The character of the S_m irreducible indexed by lam, on every class."""
     mask = _bead_mask(lam.parts)
     return ClassFunction(lam.m, tuple(column.get(mask, 0) for column in _columns(lam.m)))
-
-
-def trivial_character(m: int) -> ClassFunction:
-    """chi_(m): constant 1."""
-    return ClassFunction(m, (1,) * len(_classes(m)))
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """(f, g) = (1/m!) sum over classes of |class| * f * g.
-
-    Class sizes are m!/z(lam), exact ints, so the sum is formed exactly
-    (an int for integer values) and divided by m! once.  All characters
-    handled here are real-valued, so no conjugation is applied to the first
-    argument.
-    """
-    from fractions import Fraction
-
-    if f.m != g.m:
-        raise ValueError(f"degree mismatch: S_{f.m} vs S_{g.m}")
-    order = math.factorial(f.m)
-    total = sum(x * y * (order // z) for x, y, (_, z) in zip(f.values, g.values, _classes(f.m)))
-    return Fraction(total, order)
 
 
 @lru_cache(maxsize=None)

@@ -56,6 +56,8 @@ def _cmd_dims(args) -> int:
     if args.local_dims is not None:
         if args.mixed:
             raise ValueError("--local-dims and --mixed cannot be combined")
+        if args.k is not None:
+            raise ValueError("--local-dims and --k cannot be combined")
         value = restricted_dimension(_parse_dims(args.local_dims), args.m)
     elif args.mixed:
         if args.k is None:
@@ -177,7 +179,7 @@ def _cmd_transform(args) -> int:
     # row would cost two write calls per row.
     rows = zip(subset_labels(psi.k), ivec.values, jvec.values)
     table = "".join(f"{label}\t{_fmt(i_value)}\t{_fmt(j_value)}\n" for label, i_value, j_value in rows)
-    sys.stdout.write(f"# subset\tI\tJ\n{table}# max_residual\t{residual:.3e}\n")
+    sys.stdout.write(f"# subset\tI\tJ\n{table}# max_residual\t{_fmt(residual)}\n")
     return 0
 
 

@@ -177,7 +177,6 @@ def invariant_I(psi: PureState, subset: SubsetMask) -> float:
 
 def invariant_J(rho: DensityMatrix, subset: SubsetMask) -> float:
     """Tr((Tr_A rho)^2): purity of the state reduced to the complement."""
-    _require_subset(rho.k, subset)
     reduced = partial_trace(rho, subset).entries
     return float(np.einsum("ij,ji->", reduced, reduced).real)
 

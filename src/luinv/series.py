@@ -67,12 +67,6 @@ class GeneratorCounts(Frozen):
                 )
         Frozen.__init__(self, u, k)
 
-    def __getitem__(self, d: int) -> int:
-        """u_d, 1-based."""
-        if d < 1:
-            raise IndexError("exponents are indexed from 1")
-        return self.u[d - 1]
-
 
 def _multiply_in(coeffs: list, step: int, weights: list) -> None:
     """coeffs *= sum over j of weights[j] * t^(step*j), in place and
@@ -151,11 +145,3 @@ def expand_euler_product(counts: GeneratorCounts, order: int) -> PowerSeries:
             binomials = [math.comb(u + j - 1, j) for j in range(order // d + 1)]
             _multiply_in(coeffs, d, binomials)
     return PowerSeries(order, tuple(coeffs))
-
-
-def free_generator_count(k: int, d: int) -> int:
-    """Number of conjugacy classes of index-d subgroups of the free group
-    on k-1 generators, extracted from the Hilbert series."""
-    if k < 2 or d < 1:
-        raise ValueError("need k >= 2 and d >= 1")
-    return euler_exponents(hilbert_series(k, d), k)[d]

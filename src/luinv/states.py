@@ -56,17 +56,8 @@ class PureState(Frozen):
     def k(self) -> int:
         return len(self.dims)
 
-    def tensor(self) -> np.ndarray:
-        return self.coeffs.reshape(self.dims)
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
-
-    def normalized(self) -> "PureState":
-        norm = math.sqrt(self.norm_squared())
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return PureState(self.dims, self.coeffs / norm)
 
 
 class DensityMatrix(Frozen):

@@ -34,10 +34,6 @@ class SubsetMask(Frozen):
     def from_bits(cls, k: int, bits: int) -> "SubsetMask":
         return cls(k, bits)
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self)
-
     def __index__(self) -> int:
         return self.bits
 

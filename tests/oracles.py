@@ -16,6 +16,8 @@ way, or a way to build test states:
   small sizes;
 - purify: a system+environment pure state whose environment trace is a
   given density matrix;
+- class_sum: the pairing of an integer class function of S_m with the
+  trivial character, from the class sizes alone;
 - random_unitary, apply_local_unitaries, product_state and
   random_density_matrix: seeded test states and local rotations.
 
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from luinv import DensityMatrix, PureState, SubsetMask
+from luinv import DensityMatrix, PureState, SubsetMask, centralizer_order, partitions_of
 from luinv.errors import check_work
 from luinv.invariants import _require_subset
 from luinv.free_group_census import orbit_representatives
@@ -52,6 +54,18 @@ def _flat_index(indices: Sequence[int], dims: Sequence[int]) -> int:
     for i, n in zip(indices, dims):
         flat = flat * n + i
     return flat
+
+
+def class_sum(m: int, values: Sequence[int]) -> tuple[int, int]:
+    """divmod(sum over classes of |class| * value, m!): the quotient is
+    (chi_(m), f) for the class function f with these values in the
+    canonical class order when the remainder is 0.  Class sizes are
+    m!/z(lam), independent of the character tables."""
+    order = math.factorial(m)
+    sizes = [order // centralizer_order(lam) for lam in partitions_of(m)]
+    if len(values) != len(sizes):
+        raise ValueError(f"need one value per class of S_{m}, got {len(values)}")
+    return divmod(sum(size * value for size, value in zip(sizes, values)), order)
 
 
 def permutation_sign(p: Sequence[int]) -> int:
@@ -169,7 +183,7 @@ def permutation_contraction(psi: PureState, perms: Sequence[Sequence[int]]) -> c
         subs.append("".join(letter[j]))
     for j in range(m):
         subs.append("".join(letter[tups[l][j]][l] for l in range(k)))
-    tensor = psi.tensor()
+    tensor = psi.coeffs.reshape(psi.dims)
     operands = [tensor] * m + [tensor.conj()] * m
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
@@ -267,7 +281,7 @@ def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> Pu
     """Apply one unitary per subsystem."""
     if len(unitaries) != psi.k:
         raise ValueError("need one unitary per subsystem")
-    tensor = psi.tensor()
+    tensor = psi.coeffs.reshape(psi.dims)
     for axis, u in enumerate(unitaries):
         tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
     return PureState(psi.dims, tensor.reshape(-1))

@@ -49,6 +49,17 @@ def test_dims_usage_errors(capsys):
     assert code == 2
 
 
+def test_dims_refuses_k_with_local_dims(capsys):
+    # --local-dims fixes the subsystems, so a --k beside it is refused, not
+    # ignored; --mixed is checked first and keeps its own message.
+    code, out, err = run(capsys, "dims", "--k", "5", "--local-dims", "2,2", "--m", "3")
+    assert (code, out) == (2, "")
+    assert err == "luinv: --local-dims and --k cannot be combined\n"
+    code, out, err = run(capsys, "dims", "--k", "5", "--local-dims", "2,2", "--m", "3", "--mixed")
+    assert (code, out) == (2, "")
+    assert err == "luinv: --local-dims and --mixed cannot be combined\n"
+
+
 @pytest.mark.parametrize("text", ["2,,2", "2,2,", ",2", ",", ""])
 @pytest.mark.parametrize("command", [("dims",), ("rank-oracle", "--seed", "1")], ids=["dims", "rank-oracle"])
 def test_empty_dimension_entries_exit_2(capsys, command, text):
@@ -249,7 +260,7 @@ def test_transform_output(tmp_path, capsys):
     assert lines[2] == "(1)\t0.000000000\t0.500000000"
     assert lines[3] == "(2)\t0.000000000\t0.500000000"
     assert lines[4] == "(1,2)\t0.250000000\t1.000000000"
-    assert lines[5].startswith("# max_residual\t")
+    assert lines[5] == "# max_residual\t0.000000000"
 
     # Twelve 1-dimensional systems: 2^12 rows by bit position, then the residual.
     ones = tmp_path / "ones.state"
@@ -260,7 +271,7 @@ def test_transform_output(tmp_path, capsys):
     for bits in range(1 << 12):
         i_value = "1.000000000" if bits == 0 else "0.000000000"
         expected.append(f"{SubsetMask(12, bits)}\t{i_value}\t1.000000000")
-    expected.append("# max_residual\t0.000e+00")
+    expected.append("# max_residual\t0.000000000")
     assert out.splitlines() == expected
     assert len(expected) == 4098
 

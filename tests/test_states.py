@@ -46,7 +46,6 @@ def test_pure_state_validation():
         PureState((0,), np.zeros(1, dtype=complex))
     psi = PureState((2,), np.array([3.0, 4.0j]))
     assert psi.norm_squared() == pytest.approx(25.0)
-    assert psi.normalized().norm_squared() == pytest.approx(1.0)
 
 
 def test_density_matrix_requires_hermitian():

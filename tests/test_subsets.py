@@ -20,7 +20,7 @@ def test_mask_matches_frozenset_reference(k):
         of = SubsetMask.of(k, sorted(members, reverse=True))
         assert of == subset and hash(of) == hash(subset)
         assert (subset.k, subset.bits, operator.index(subset)) == (k, bits, bits)
-        assert subset.members == members
+        assert frozenset(subset) == members
         assert len(subset) == len(members)
         assert list(subset) == sorted(members)
         assert [j in subset for j in range(-1, k + 3)] == [j in members for j in range(-1, k + 3)]

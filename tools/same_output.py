@@ -9,7 +9,8 @@ read the same files by the same paths.  The commands are:
 - the cli workload's commands for seeds 1-3, from perfbench/workloads.py of
   the --change checkout, imported and never written;
 - the CLI examples of the README;
-- `--help`, no arguments, `dims --bogus` and `dims --k 3 --m 2000`;
+- `--help`, no arguments, `dims --bogus`, `dims --k 3 --m 2000` and
+  `dims --k 5 --local-dims 2,2 --m 3`;
 - `transform`, `eval --invariant I` and `--invariant higher --m 2` on
   states with 1-dimensional subsystems (PADDED).
 One line is printed per command whose stdout, stderr or exit code differs,
@@ -33,7 +34,10 @@ import numpy as np
 
 SIDES = ("parent", "change")
 SEEDS = (1, 2, 3)
-FIXED = [["--help"], [], ["dims", "--bogus"], ["dims", "--k", "3", "--m", "2000"]]
+FIXED = [
+    ["--help"], [], ["dims", "--bogus"], ["dims", "--k", "3", "--m", "2000"],
+    ["dims", "--k", "5", "--local-dims", "2,2", "--m", "3"],
+]
 # dims of the padded states, and the subsets that eval reads on each: with
 # and without a 1-dimensional member.
 PADDED = {
