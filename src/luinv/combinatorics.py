@@ -66,8 +66,13 @@ def centralizer_order(lam: Partition) -> int:
 
     Equals m! divided by the size of that conjugacy class.
     """
+    return _centralizer_order(lam.parts)
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """centralizer_order of the partition with these parts."""
     z = 1
-    for i in set(lam.parts):
-        count = lam.parts.count(i)
+    for i in set(parts):
+        count = parts.count(i)
         z *= i**count * math.factorial(count)
     return z

@@ -16,7 +16,7 @@ from luinv import (
     irreducible_character,
     partitions_of,
 )
-from luinv.characters import _classes, _square_sum
+from luinv.characters import _classes, _square_sum, _table
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -109,11 +109,28 @@ def test_orthonormality(m):
             assert class_sum(m, values) == (1 if i == j else 0, 0)
 
 
-@pytest.mark.parametrize("m", range(0, 8))
+@pytest.mark.parametrize("m", range(0, 13))
 def test_column_orthogonality(m):
     # Unrestricted, the square sum is the conjugation character, whose
     # value at a class is the centralizer order.
     assert _square_sum(m, m) == tuple(centralizer_order(lam) for lam in partitions_of(m))
+
+
+def test_square_sum_with_no_rows():
+    # No partition of m >= 1 has zero rows; the empty partition of 0 does.
+    assert _square_sum(0, 0) == (1,)
+    for m in range(1, 17):
+        assert _square_sum(m, 0) == (0,) * len(_classes(m))
+
+
+@pytest.mark.parametrize("m", range(0, 17))
+def test_first_and_last_rows(m):
+    # Row (m) is the trivial character and row (1^m), last in canonical
+    # order, the sign character: (-1)^(m - number of cycles).
+    rows = _table(m)
+    assert len(rows) == len(_classes(m))
+    assert rows[0] == (1,) * len(rows)
+    assert rows[-1] == tuple((-1) ** (m - len(cycles)) for cycles, _ in _classes(m))
 
 
 def _longest_decreasing(perm: tuple[int, ...]) -> int:

@@ -11,6 +11,9 @@ read the same files by the same paths.  The commands are:
 - the CLI examples of the README;
 - `--help`, no arguments, `dims --bogus`, `dims --k 3 --m 2000` and
   `dims --k 5 --local-dims 2,2 --m 3`;
+- the character tables at and past the degree bound (`char-table --m 16`
+  and `--m 17`) and `dims --local-dims` at its row cutoffs: a dimension
+  of 1 or of m, and m = 0;
 - `transform`, `eval --invariant I` and `--invariant higher --m 2` on
   states with 1-dimensional subsystems (PADDED).
 One line is printed per command whose stdout, stderr or exit code differs,
@@ -37,6 +40,9 @@ SEEDS = (1, 2, 3)
 FIXED = [
     ["--help"], [], ["dims", "--bogus"], ["dims", "--k", "3", "--m", "2000"],
     ["dims", "--k", "5", "--local-dims", "2,2", "--m", "3"],
+    ["char-table", "--m", "16"], ["char-table", "--m", "17"],
+    ["dims", "--local-dims", "2,3,16", "--m", "16"], ["dims", "--local-dims", "1,16", "--m", "16"],
+    ["dims", "--local-dims", "2,2", "--m", "0"],
 ]
 # dims of the padded states, and the subsets that eval reads on each: with
 # and without a 1-dimensional member.
