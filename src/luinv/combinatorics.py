@@ -42,6 +42,9 @@ class Partition(Frozen):
 
 @lru_cache(maxsize=None)
 def _partition_tuples(m: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of every partition of m into parts of at most max_part, in
+    the canonical order.  The characters module lists partitions through
+    it, behind CHARACTER_DEGREE_BOUND, without building Partition objects."""
     if m == 0:
         return ((),)
     out = []
@@ -54,7 +57,7 @@ def _partition_tuples(m: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 def partitions_of(m: int) -> list[Partition]:
     """All partitions of m in reverse-lexicographic order, (m) first.  No
     work bound: the p(m) partitions follow the caller's m.  The CLI reaches
-    it only behind CHARACTER_DEGREE_BOUND (`char-table`, `dims --local-dims`)."""
+    it only through `char-table`, behind CHARACTER_DEGREE_BOUND."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     return [Partition(t) for t in _partition_tuples(m, m)]
