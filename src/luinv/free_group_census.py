@@ -11,6 +11,10 @@ of the rank oracle mod a prime all come from it, one memoized walk per
 (length, degree).  It deliberately uses no closed formula for class or
 orbit counts, only group elements conjugated and compared, so that its
 results are independent of the identities they are used to verify.
+Its largest cost is the class walk of the first coordinate, which ranks
+conjugates one column at a time and never holds the degree! x degree
+table: about 11 ms and a traced peak of 0.56 MiB at degree 8, 0.15 s
+and 8.6 MiB at degree 9 (2-core host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ MAX_TUPLES = 500_000
 
 Perm = tuple[int, ...]
 
-# For _ranks: value v as a bit, the bits below v, a byte's popcount.
-_BIT = bytes(1 << v & 255 for v in range(256))
-_BELOW = bytes((1 << v) - 1 & 255 for v in range(256))
+# For _ranks: a byte's popcount.
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
-_LOW = 0 if sys.byteorder == "little" else 3
 
 
 def _is_transitive(perms: tuple[Perm, ...], degree: int) -> bool:
@@ -74,99 +75,106 @@ def check_tuple_bound(degree: int, length: int) -> None:
     check_work(factors, MAX_TUPLES, message)
 
 
+@lru_cache(maxsize=None)
+def _raised(first: int) -> bytes:
+    """The translate table raising every value >= first by one."""
+    return bytes(range(first)) + bytes(range(first + 1, 256)) + b"\xff"
+
+
+def _column(sub: bytes, degree: int, x: int) -> bytes:
+    """Entry x of every permutation of range(degree), degree >= 2, in
+    lexicographic order, built from `sub`, the table of degree - 1.
+
+    The permutations starting with f are f followed by the smaller table
+    with every value v >= f raised by one, so column 0 is runs of each f
+    and column x > 0 is column x - 1 of the smaller table once translated
+    for each f."""
+    size = degree - 1
+    if x == 0:
+        return b"".join(bytes((first,)) * (len(sub) // size) for first in range(degree))
+    column = sub[x - 1 :: size]
+    return b"".join(column.translate(_raised(first)) for first in range(degree))
+
+
 def _permutation_table(degree: int) -> bytes:
     """All degree! permutations of range(degree), degree >= 1, as one bytes
-    object in lexicographic order, degree bytes per permutation.
-
-    Built by recursion on the first entry: the permutations starting with
-    f are f followed by the table of degree - 1 with every value v >= f
-    raised by one, a translate of that table; its columns are moved into
-    place by stride slice assignment.
-    """
+    object in lexicographic order, degree bytes per permutation, built
+    from the table of degree - 1 one column at a time."""
     table = bytes(1)
     for size in range(2, degree + 1):
-        count = len(table) // (size - 1)
-        rest = b"".join(
-            table.translate(bytes(range(first)) + bytes(range(first + 1, 256)) + b"\xff")
-            for first in range(size)
-        )
-        grown = bytearray(count * size * size)
-        grown[::size] = b"".join(bytes((first,)) * count for first in range(size))
-        for j in range(1, size):
-            grown[j::size] = rest[j - 1 :: size - 1]
+        grown = bytearray(len(table) * size * size // (size - 1))
+        for x in range(size):
+            grown[x::size] = _column(table, size, x)
         table = bytes(grown)
     return table
 
 
-def _conjugate_table(table: bytes, s: bytes) -> bytearray:
-    """s p s^-1 for every permutation p of the table, in the table's order:
-    the values relabelled by s, then the entry at each position x moved to
-    position s(x)."""
-    degree = len(s)
-    relabelled = table.translate(s + bytes(range(degree, 256)))
-    out = bytearray(len(table))
-    for x, y in enumerate(s):
-        out[y::degree] = relabelled[x::degree]
-    return out
+def _ranks(column: Callable[[int], bytes], n: int, s: bytes) -> memoryview:
+    """The lexicographic position of s p s^-1 for each of n permutations p
+    of range(len(s)), given as column(x), entry x of every p.
 
-
-def _ranks(table: bytes | bytearray, degree: int) -> memoryview:
-    """The lexicographic position of each permutation of the table, as native
-    4-byte ints: digit j of its Lehmer code (later entries below entry j)
+    Entry s(x) of s p s^-1 is s(p(x)), so its column s(x) is column x
+    relabelled by s, and the conjugates are ranked one column at a time,
+    right to left: digit j of a Lehmer code (later entries below entry j)
     times (degree - 1 - j)!, summed.  A column's digits are one byte per
-    permutation of a big int, widened into 4-byte lanes (low byte at _LOW)
-    that never carry; a byte counts the values 0..7, so degree <= 9."""
+    permutation of a big int, from bit masks of the relabelled values,
+    widened into lanes that never carry: 2 bytes at degree <= 8, since
+    8! < 2^16, and 4 at degree 9; a byte counts the values 0..7, so
+    degree <= 9."""
+    degree = len(s)
     if degree > 9:
         raise ValueError("permutation ranks need degree <= 9")
-    n = len(table) // degree
-    lane = bytearray(4 * n)
+    width = 2 if degree <= 8 else 4
+    bit = bytes(1 << y & 255 for y in s) + bytes(256 - degree)
+    below = bytes((1 << y) - 1 & 255 for y in s) + bytes(256 - degree)
+    lane = bytearray(width * n)
+    low = 0 if sys.byteorder == "little" else width - 1
+    values = column(s.index(degree - 1))
     later = total = 0
-    for j in range(degree - 1, -1, -1):
-        column = table[j::degree]
-        below = int.from_bytes(column.translate(_BELOW), sys.byteorder) & later
-        lane[_LOW::4] = below.to_bytes(n, sys.byteorder).translate(_POPCOUNT)
+    for j in range(degree - 2, -1, -1):
+        later |= int.from_bytes(values.translate(bit), sys.byteorder)
+        values = column(s.index(j))
+        digits = int.from_bytes(values.translate(below), sys.byteorder) & later
+        lane[low::width] = digits.to_bytes(n, sys.byteorder).translate(_POPCOUNT)
         total += int.from_bytes(lane, sys.byteorder) * factorial(degree - 1 - j)
-        later |= int.from_bytes(column.translate(_BIT), sys.byteorder)
-    return memoryview(total.to_bytes(4 * n, sys.byteorder)).cast("I")
-
-
-def _conjugation(table: bytes, degree: int) -> Callable[[bytes], memoryview]:
-    """s, as bytes, taken to the positions of s p s^-1 for p the table."""
-    return lambda s: _ranks(_conjugate_table(table, s), degree)
+    return memoryview(total.to_bytes(width * n, sys.byteorder)).cast("H" if width == 2 else "I")
 
 
 def _move_tables(degree: int) -> tuple[bytes, list[memoryview]]:
-    """The permutation table of S_degree and the ranks of its conjugates by
-    each generator s of (0 1) and the degree-cycle, in the table's order."""
-    table = _permutation_table(degree)
-    conjugation = _conjugation(table, degree)
+    """The permutation table of S_(degree - 1), degree >= 2, and the
+    positions of the conjugates by the transposition (0 1) and by the
+    degree-cycle of every permutation of S_degree, in lexicographic order,
+    ranked from columns built from that smaller table."""
+    sub = _permutation_table(degree - 1)
     transposition = bytes((1, 0)) + bytes(range(2, degree))
     cycle = bytes(range(1, degree)) + bytes(1)
-    return table, [conjugation(s) for s in (transposition, cycle)]
+    n = factorial(degree)
+    return sub, [_ranks(lambda x: _column(sub, degree, x), n, s) for s in (transposition, cycle)]
 
 
-def _class_minima(moves: list[memoryview]) -> list[int]:
-    """Positions in the table of the lexicographic minimum of every
-    conjugacy class, in increasing order: the smallest position not yet
-    marked in a bytearray of flags starts a class, which is marked by
-    pushing and popping positions through the two move tables."""
-    first, second = moves
-    seen = bytearray(len(first))
+def _class_minima(pair: memoryview, cycle: memoryview) -> list[int]:
+    """Positions in lexicographic order of the minimum of every conjugacy
+    class, in increasing order, from the move tables of _move_tables: the
+    smallest position not yet marked in a bytearray of flags starts a
+    class, which is marked through the two tables.  Conjugating by (0 1)
+    is an involution, so a position and its pair are marked together and
+    one of them is pushed; popping it moves both through the cycle."""
+    seen = bytearray(len(pair))
     minima = []
     c = seen.find(0)
     while c >= 0:
-        seen[c] = 1
+        seen[c] = seen[pair[c]] = 1
         stack = [c]
         push, pop = stack.append, stack.pop
         while stack:
             x = pop()
-            y = first[x]
+            y = cycle[x]
             if not seen[y]:
-                seen[y] = 1
+                seen[y] = seen[pair[y]] = 1
                 push(y)
-            y = second[x]
+            y = cycle[pair[x]]
             if not seen[y]:
-                seen[y] = 1
+                seen[y] = seen[pair[y]] = 1
                 push(y)
         minima.append(c)
         c = seen.find(0, c + 1)
@@ -179,25 +187,27 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     S_degree acting by simultaneous conjugation: the lexicographic minimum
     of its orbit, in increasing order.
 
-    The degree! permutations are one bytes table in lexicographic order,
-    degree bytes each, and a permutation is named by its position there.
-    A tuple is the minimum of its orbit exactly when its first entry is
-    the minimum of its conjugacy class and each further entry is the
-    minimum of its orbit under the stabilizer of the entries before it,
-    the permutations that commute with all of them.  The class minima come
-    from a walk over the table: the transposition (0 1) and the
-    degree-cycle generate S_degree, conjugating by each is tabulated once
-    (a translate and degree stride slice assignments conjugate every
-    permutation at once, and their Lehmer codes, one byte per permutation
-    in big ints, rank the results), and the smallest unmarked position is
-    taken as a minimum and its class marked through the two tables.  The
-    stabilizer of a class minimum c is found by filtering all degree!
-    permutations, those h with c h c^-1 = h.  Each further coordinate is
-    split under the stabilizer H of its prefix by scanning the positions
-    in increasing order: an unmarked x is the minimum of its H-orbit
-    {h x h^-1}, which is marked, and the stabilizer of the longer prefix
-    is the h in H with h x h^-1 = x.  Distinct stabilizers are few, so
-    each split is memoized by H within one call.  Prefixes are extended
+    The degree! permutations are taken in lexicographic order, and a
+    permutation is named by its position there.  A tuple is the minimum of
+    its orbit exactly when its first entry is the minimum of its conjugacy
+    class and each further entry is the minimum of its orbit under the
+    stabilizer of the entries before it, the permutations that commute
+    with all of them.  The class minima come from a walk over the
+    positions: the transposition (0 1) and the degree-cycle generate
+    S_degree, and conjugating by each is tabulated once, its results
+    ranked column by column (_ranks) from columns that are built from the
+    table of S_(degree - 1) (_column), so no degree! x degree table is
+    held.  The smallest unmarked position is taken as a minimum and its
+    class marked through the two tables, a position and its conjugate by
+    (0 1) together; the minima themselves are rebuilt from the smaller
+    table.  At length >= 2 the columns are kept, and the stabilizer of a
+    class minimum c is found by filtering all degree! permutations, those
+    h with c h c^-1 = h, ranked by the same _ranks.  Each further
+    coordinate is split under the stabilizer H of its prefix by scanning
+    the positions in increasing order: an unmarked x is the minimum of its
+    H-orbit {h x h^-1}, which is marked, and the stabilizer of the longer
+    prefix is the h in H with h x h^-1 = x.  Distinct stabilizers are few,
+    so each split is memoized by H within one call.  Prefixes are extended
     level by level, parents in order and children in increasing x, so the
     output comes out sorted.  No tuple outside an orbit minimum is
     visited, and no cycle type or counting formula is used.
@@ -207,31 +217,36 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     have one orbit and are answered without listing permutations.
 
     Walks at (length, degree) = (2, 5), (3, 4), (4, 4) and (5, 3) take
-    about 1.2, 0.7, 3.5 and 0.65 ms, against 3.7, 4.3, 170 and 4.3 ms for
+    about 0.7, 0.45, 2.5 and 0.33 ms, against 3.7, 4.4, 150 and 4.4 ms for
     a walk that marked all degree!^length tuples through image lists of
     codes (best of seven in one process, 2-core host, Python 3.11).
-    Length 1 is the class walk alone: 20 ms (tracemalloc peak 1.5 MiB) at
-    (1, 8) and 0.3 s at (1, 9).  Subgroup and orbit counts at one (length,
-    degree) share the walk, so each size is walked once per process.
+    Length 1 is the class walk alone: 1.3 ms at (1, 7), 11 ms (tracemalloc
+    peak 0.56 MiB) at (1, 8) and 0.15 s (8.6 MiB) at (1, 9).  Subgroup
+    and orbit counts at one (length, degree) share the walk, so each size
+    is walked once per process.
     """
     if length < 0 or degree < 0:
         raise ValueError("need length >= 0 and degree >= 0")
     check_tuple_bound(degree, length)
     if length == 0 or degree < 2:
         return ((tuple(range(degree)),) * length,)
-    table, moves = _move_tables(degree)
-    minima = _class_minima(moves)
+    sub, moves = _move_tables(degree)
+    minima = _class_minima(*moves)
     if length == 1:
-        return tuple((tuple(table[c * degree : (c + 1) * degree]),) for c in minima)
-    n = len(table) // degree
-    perms = [tuple(table[i * degree : (i + 1) * degree]) for i in range(n)]
-    conjugation = _conjugation(table, degree)
+        size, count = degree - 1, len(sub) // (degree - 1)
+        return tuple(
+            ((first, *sub[r * size : (r + 1) * size].translate(_raised(first))),)
+            for first, r in (divmod(c, count) for c in minima)
+        )
+    columns = [_column(sub, degree, x) for x in range(degree)]
+    perms = list(zip(*columns))
+    n = len(perms)
     rows = {}  # h -> the position of h x h^-1 for each position x
 
     def row(h: int) -> memoryview:
         got = rows.get(h)
         if got is None:
-            got = rows[h] = conjugation(table[h * degree : (h + 1) * degree])
+            got = rows[h] = _ranks(columns.__getitem__, n, bytes(perms[h]))
         return got
 
     def decompose(group: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -260,7 +275,7 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
             if parts is None:
                 parts = splits[group] = decompose(group)
             if depth < length:
-                grown.extend([(prefix + (perms[x],), sub) for x, sub in parts])
+                grown.extend([(prefix + (perms[x],), stabilizer) for x, stabilizer in parts])
             else:
                 grown.extend([prefix + (perms[x],) for x, _ in parts])
         level = grown

@@ -14,6 +14,9 @@ read the same files by the same paths.  The commands are:
 - the character tables at and past the degree bound (`char-table --m 16`
   and `--m 17`) and `dims --local-dims` at its row cutoffs: a dimension
   of 1 or of m, and m = 0;
+- the census class walks `orbits --tuple-length 1` at m = 7, 8, 9 and
+  the refused 10, the longer walks `--tuple-length 2 --m 5` and
+  `--tuple-length 5 --m 3`, and `subgroups --rank 3 --max-index 4`;
 - `transform`, `eval --invariant I` and `--invariant higher --m 2` on
   states with 1-dimensional subsystems (PADDED).
 One line is printed per command whose stdout, stderr or exit code differs,
@@ -43,6 +46,10 @@ FIXED = [
     ["char-table", "--m", "16"], ["char-table", "--m", "17"],
     ["dims", "--local-dims", "2,3,16", "--m", "16"], ["dims", "--local-dims", "1,16", "--m", "16"],
     ["dims", "--local-dims", "2,2", "--m", "0"],
+    ["orbits", "--tuple-length", "1", "--m", "7"], ["orbits", "--tuple-length", "1", "--m", "8"],
+    ["orbits", "--tuple-length", "1", "--m", "9"], ["orbits", "--tuple-length", "1", "--m", "10"],
+    ["orbits", "--tuple-length", "2", "--m", "5"], ["orbits", "--tuple-length", "5", "--m", "3"],
+    ["subgroups", "--rank", "3", "--max-index", "4"],
 ]
 # dims of the padded states, and the subsets that eval reads on each: with
 # and without a 1-dimensional member.
