@@ -304,14 +304,6 @@ def test_transposition_move_is_an_involution(degree):
     assert all(pair[y] == x for x, y in enumerate(pair))
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
-def test_permutation_table_is_lexicographic(degree):
-    table = free_group_census._permutation_table(degree)
-    assert [tuple(table[i : i + degree]) for i in range(0, len(table), degree)] == [
-        _lehmer_unrank(i, degree) for i in range(math.factorial(degree))
-    ]
-
-
 @settings(deadline=None)
 @given(
     st.integers(2, 9).flatmap(
