@@ -75,7 +75,7 @@ def _cmd_hilbert(args) -> int:
     from .series import euler_exponents, hilbert_series
 
     series = hilbert_series(args.k, args.order)
-    counts = euler_exponents(series, args.k)
+    counts = euler_exponents(series)
     print("# grading: half-degree m, i.e. degree 2m (real)")
     print("# m\tdim")
     for m, coeff in enumerate(series.coeffs):

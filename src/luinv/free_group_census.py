@@ -11,10 +11,11 @@ of the rank oracle mod a prime all come from it, one memoized walk per
 (length, degree).  It deliberately uses no closed formula for class or
 orbit counts, only group elements conjugated and compared, so that its
 results are independent of the identities they are used to verify.
-Its largest cost is the class walk of the first coordinate, which ranks
-conjugates one column at a time and never holds the degree! x degree
-table: about 11 ms and a traced peak of 0.56 MiB at degree 8, 0.15 s
-and 8.6 MiB at degree 9 (2-core host, Python 3.11).
+Its largest cost is the class walk of the first coordinate, which holds
+S_degree only as degree blocks of columns, block f the permutations
+starting with f, and ranks the conjugates of one block before building
+the next: about 12 ms and a traced peak of 0.28 MiB at degree 8, 0.15 s
+and 4.2 MiB at degree 9 (2-core host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from .errors import check_work
 
@@ -81,37 +81,27 @@ def _raised(first: int) -> bytes:
     return bytes(range(first)) + bytes(range(first + 1, 256)) + b"\xff"
 
 
-def _column(sub: bytes, degree: int, x: int) -> bytes:
-    """Entry x of every permutation of range(degree), degree >= 2, in
-    lexicographic order, built from `sub`, the table of degree - 1.
-
-    The permutations starting with f are f followed by the smaller table
-    with every value v >= f raised by one, so column 0 is runs of each f
-    and column x > 0 is column x - 1 of the smaller table once translated
-    for each f."""
-    size = degree - 1
-    if x == 0:
-        return b"".join(bytes((first,)) * (len(sub) // size) for first in range(degree))
-    column = sub[x - 1 :: size]
-    return b"".join(column.translate(_raised(first)) for first in range(degree))
+def _block(sub: list[bytes], first: int) -> list[bytes]:
+    """The columns of the permutations of range(len(sub) + 1) that start
+    with `first`, in lexicographic order, given `sub`, the columns of
+    S_len(sub): column 0 is the constant `first`, and column x > 0 is
+    column x - 1 of `sub` with every value >= first raised by one."""
+    raised = _raised(first)
+    return [bytes((first,)) * len(sub[0])] + [column.translate(raised) for column in sub]
 
 
-def _permutation_table(degree: int) -> bytes:
-    """All degree! permutations of range(degree), degree >= 1, as one bytes
-    object in lexicographic order, degree bytes per permutation, built
-    from the table of degree - 1 one column at a time."""
-    table = bytes(1)
-    for size in range(2, degree + 1):
-        grown = bytearray(len(table) * size * size // (size - 1))
-        for x in range(size):
-            grown[x::size] = _column(table, size, x)
-        table = bytes(grown)
-    return table
+def _columns(degree: int) -> list[bytes]:
+    """Entry x of every permutation of range(degree), degree >= 1, in
+    lexicographic order, for each x: the degree blocks of _block joined."""
+    if degree == 1:
+        return [bytes(1)]
+    sub = _columns(degree - 1)
+    return [b"".join(column) for column in zip(*(_block(sub, first) for first in range(degree)))]
 
 
-def _ranks(column: Callable[[int], bytes], n: int, s: bytes) -> memoryview:
-    """The lexicographic position of s p s^-1 for each of n permutations p
-    of range(len(s)), given as column(x), entry x of every p.
+def _ranks(columns: list[bytes], s: bytes) -> memoryview:
+    """The lexicographic position of s p s^-1 for each permutation p of
+    range(len(s)) given by `columns`, entry x of every p in columns[x].
 
     Entry s(x) of s p s^-1 is s(p(x)), so its column s(x) is column x
     relabelled by s, and the conjugates are ranked one column at a time,
@@ -124,32 +114,37 @@ def _ranks(column: Callable[[int], bytes], n: int, s: bytes) -> memoryview:
     degree = len(s)
     if degree > 9:
         raise ValueError("permutation ranks need degree <= 9")
+    n = len(columns[0])
     width = 2 if degree <= 8 else 4
     bit = bytes(1 << y & 255 for y in s) + bytes(256 - degree)
     below = bytes((1 << y) - 1 & 255 for y in s) + bytes(256 - degree)
     lane = bytearray(width * n)
     low = 0 if sys.byteorder == "little" else width - 1
-    values = column(s.index(degree - 1))
+    values = columns[s.index(degree - 1)]
     later = total = 0
     for j in range(degree - 2, -1, -1):
         later |= int.from_bytes(values.translate(bit), sys.byteorder)
-        values = column(s.index(j))
+        values = columns[s.index(j)]
         digits = int.from_bytes(values.translate(below), sys.byteorder) & later
         lane[low::width] = digits.to_bytes(n, sys.byteorder).translate(_POPCOUNT)
         total += int.from_bytes(lane, sys.byteorder) * factorial(degree - 1 - j)
     return memoryview(total.to_bytes(width * n, sys.byteorder)).cast("H" if width == 2 else "I")
 
 
-def _move_tables(degree: int) -> tuple[bytes, list[memoryview]]:
-    """The permutation table of S_(degree - 1), degree >= 2, and the
-    positions of the conjugates by the transposition (0 1) and by the
-    degree-cycle of every permutation of S_degree, in lexicographic order,
-    ranked from columns built from that smaller table."""
-    sub = _permutation_table(degree - 1)
-    transposition = bytes((1, 0)) + bytes(range(2, degree))
-    cycle = bytes(range(1, degree)) + bytes(1)
-    n = factorial(degree)
-    return sub, [_ranks(lambda x: _column(sub, degree, x), n, s) for s in (transposition, cycle)]
+def _move_tables(degree: int, blocks) -> list[memoryview]:
+    """The positions of the conjugates by the transposition (0 1) and by
+    the degree-cycle of every permutation of S_degree, degree >= 2, in
+    lexicographic order.  `blocks` gives S_degree in order as runs of
+    columns of one size, the degree blocks of _block or _columns(degree)
+    as one run; both tables are ranked from a run before the next."""
+    code, width = ("H", 2) if degree <= 8 else ("I", 4)
+    moves = [memoryview(bytearray(width * factorial(degree))).cast(code) for _ in range(2)]
+    generators = (bytes((1, 0)) + bytes(range(2, degree)), bytes(range(1, degree)) + bytes(1))
+    for i, block in enumerate(blocks):
+        size = len(block[0])
+        for move, s in zip(moves, generators):
+            move[i * size : (i + 1) * size] = _ranks(block, s)
+    return moves
 
 
 def _class_minima(pair: memoryview, cycle: memoryview) -> list[int]:
@@ -194,51 +189,54 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     stabilizer of the entries before it, the permutations that commute
     with all of them.  The class minima come from a walk over the
     positions: the transposition (0 1) and the degree-cycle generate
-    S_degree, and conjugating by each is tabulated once, its results
-    ranked column by column (_ranks) from columns that are built from the
-    table of S_(degree - 1) (_column), so no degree! x degree table is
-    held.  The smallest unmarked position is taken as a minimum and its
-    class marked through the two tables, a position and its conjugate by
-    (0 1) together; the minima themselves are rebuilt from the smaller
-    table.  At length >= 2 the columns are kept, and the stabilizer of a
-    class minimum c is found by filtering all degree! permutations, those
-    h with c h c^-1 = h, ranked by the same _ranks.  Each further
-    coordinate is split under the stabilizer H of its prefix by scanning
-    the positions in increasing order: an unmarked x is the minimum of its
-    H-orbit {h x h^-1}, which is marked, and the stabilizer of the longer
-    prefix is the h in H with h x h^-1 = x.  Distinct stabilizers are few,
-    so each split is memoized by H within one call.  Prefixes are extended
-    level by level, parents in order and children in increasing x, so the
-    output comes out sorted.  No tuple outside an orbit minimum is
-    visited, and no cycle type or counting formula is used.
-    A negative length or degree raises ValueError; inputs past
-    check_tuple_bound are refused after that check, and callers may check
-    a tighter bound first.  Length 0 and degrees below 2
-    have one orbit and are answered without listing permutations.
+    S_degree, and conjugating by each is tabulated once, one block at a
+    time: block f holds the permutations starting with f, built from the
+    columns of S_(degree - 1) (_block), and both tables are ranked column
+    by column (_ranks) from it, so no degree! x degree table is held.  The
+    smallest unmarked position is taken as a minimum and its class marked
+    through the two tables, a position and its conjugate by (0 1)
+    together; at length 1 each minimum is read from its block.  At length
+    >= 2 the blocks are joined into the degree columns (_columns), ranked
+    as one block, and the stabilizer of a class minimum c is found by
+    filtering all degree! permutations, those h with c h c^-1 = h, ranked
+    by the same _ranks.  Each further coordinate is split under the
+    stabilizer H of its prefix by scanning the positions in increasing
+    order: an unmarked x is the minimum of its H-orbit {h x h^-1}, which
+    is marked, and the stabilizer of the longer prefix is the h in H with
+    h x h^-1 = x.  Distinct stabilizers are few, so each split is memoized
+    by H within one call.  Prefixes are extended level by level, parents
+    in order and children in increasing x, so the output comes out sorted.
+    No tuple outside an orbit minimum is visited, and no cycle type or
+    counting formula is used.  A negative length or degree raises
+    ValueError; inputs past check_tuple_bound are refused after that
+    check, and callers may check a tighter bound first.  Length 0 and
+    degrees below 2 have one orbit and are answered without listing
+    permutations.
 
     Walks at (length, degree) = (2, 5), (3, 4), (4, 4) and (5, 3) take
-    about 0.7, 0.45, 2.5 and 0.33 ms, against 3.7, 4.4, 150 and 4.4 ms for
-    a walk that marked all degree!^length tuples through image lists of
-    codes (best of seven in one process, 2-core host, Python 3.11).
-    Length 1 is the class walk alone: 1.3 ms at (1, 7), 11 ms (tracemalloc
-    peak 0.56 MiB) at (1, 8) and 0.15 s (8.6 MiB) at (1, 9).  Subgroup
-    and orbit counts at one (length, degree) share the walk, so each size
-    is walked once per process.
+    about 0.9, 0.5, 3.3 and 0.6 ms, and length 1, the class walk alone,
+    1.7 ms at (1, 7), 12 ms (tracemalloc peak 0.28 MiB) at (1, 8) and
+    0.15 s (4.2 MiB) at (1, 9) (medians in one process, 2-core host,
+    Python 3.11).  Subgroup and orbit counts at one (length, degree)
+    share the walk, so each size is walked once per process.
     """
     if length < 0 or degree < 0:
         raise ValueError("need length >= 0 and degree >= 0")
     check_tuple_bound(degree, length)
     if length == 0 or degree < 2:
         return ((tuple(range(degree)),) * length,)
-    sub, moves = _move_tables(degree)
-    minima = _class_minima(*moves)
     if length == 1:
-        size, count = degree - 1, len(sub) // (degree - 1)
+        sub = _columns(degree - 1)
+        blocks = (_block(sub, first) for first in range(degree))
+        minima = _class_minima(*_move_tables(degree, blocks))
+        # The minimum at position c is row r of block `first`: the block
+        # of row r of sub alone.
         return tuple(
-            ((first, *sub[r * size : (r + 1) * size].translate(_raised(first))),)
-            for first, r in (divmod(c, count) for c in minima)
+            (tuple(b"".join(_block([column[r : r + 1] for column in sub], first))),)
+            for first, r in (divmod(c, len(sub[0])) for c in minima)
         )
-    columns = [_column(sub, degree, x) for x in range(degree)]
+    columns = _columns(degree)
+    minima = _class_minima(*_move_tables(degree, [columns]))
     perms = list(zip(*columns))
     n = len(perms)
     rows = {}  # h -> the position of h x h^-1 for each position x
@@ -246,7 +244,7 @@ def orbit_representatives(length: int, degree: int) -> tuple[tuple[Perm, ...], .
     def row(h: int) -> memoryview:
         got = rows.get(h)
         if got is None:
-            got = rows[h] = _ranks(columns.__getitem__, n, bytes(perms[h]))
+            got = rows[h] = _ranks(columns, bytes(perms[h]))
         return got
 
     def decompose(group: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -168,7 +168,7 @@ def test_length_zero_lists_no_permutations(monkeypatch):
     def refuse(*args):
         raise AssertionError("permutations listed")
 
-    monkeypatch.setattr(free_group_census, "_permutation_table", refuse)
+    monkeypatch.setattr(free_group_census, "_columns", refuse)
     orbit_representatives.cache_clear()
     for degree in range(10):
         assert orbit_representatives(0, degree) == ((),)
@@ -188,7 +188,7 @@ def _full_walk_representatives(length, degree):
     degree-cycle; the smallest unmarked code is an orbit minimum, and its
     orbit is marked by pushing and popping codes through them.
     """
-    _, moves = free_group_census._move_tables(degree)
+    *_, moves = _tables(degree)
     n = math.factorial(degree)
     images = []
     for move in moves:
@@ -275,23 +275,31 @@ def _lehmer_rank(perm):
 
 @lru_cache(maxsize=1)
 def _tables(degree):
-    return free_group_census._move_tables(degree)
+    """The columns of S_(degree - 1) and of S_degree, and the two move
+    tables filled one block at a time, as the class walk fills them."""
+    sub = free_group_census._columns(degree - 1)
+    blocks = (free_group_census._block(sub, first) for first in range(degree))
+    return sub, free_group_census._columns(degree), free_group_census._move_tables(degree, blocks)
 
 
 @pytest.mark.parametrize("degree", range(2, 10))
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_move_tables_match_lehmer_oracle(degree, data):
-    sub, moves = _tables(degree)
+    sub, columns, moves = _tables(degree)
     n = math.factorial(degree)
-    assert len(sub) == n // degree * (degree - 1) and all(len(move) == n for move in moves)
+    size = n // degree
+    assert len(sub) == degree - 1 and all(len(column) == size for column in sub)
+    assert len(columns) == degree and all(len(column) == n for column in columns)
+    assert all(len(move) == n for move in moves)
     generators = [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
     for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
         perm = _lehmer_unrank(i, degree)
-        r = i % (n // degree)
-        assert tuple(sub[r * (degree - 1) : (r + 1) * (degree - 1)]) == _lehmer_unrank(r, degree - 1)
+        first, r = divmod(i, size)
+        assert tuple(column[r] for column in sub) == _lehmer_unrank(r, degree - 1)
+        block = free_group_census._block(sub, first)
         for x in range(degree):
-            assert free_group_census._column(sub, degree, x)[i] == perm[x]
+            assert block[x][r] == columns[x][i] == perm[x]
         for s, move in zip(generators, moves):
             (conjugate,) = _conjugate_by(s, (perm,))
             assert move[i] == _lehmer_rank(conjugate)
@@ -300,7 +308,7 @@ def test_move_tables_match_lehmer_oracle(degree, data):
 @pytest.mark.parametrize("degree", range(2, 10))
 def test_transposition_move_is_an_involution(degree):
     # The class walk marks a position and its conjugate by (0 1) together.
-    _, (pair, _) = _tables(degree)
+    *_, (pair, _) = _tables(degree)
     assert all(pair[y] == x for x, y in enumerate(pair))
 
 
@@ -317,38 +325,67 @@ def test_ranks_match_lehmer_oracle(drawn):
     s, perms = drawn
     degree = len(s)
     packed = bytes(x for p in perms for x in p)
-
-    def column(x):
-        return packed[x::degree]
-
+    columns = [packed[x::degree] for x in range(degree)]
     identity = bytes(range(degree))
-    ranks = free_group_census._ranks(column, len(perms), identity)
+    ranks = free_group_census._ranks(columns, identity)
     assert list(ranks) == [_lehmer_rank(p) for p in perms]
     expected = [_lehmer_rank(p) for p in _conjugate_by(s, perms)]
-    assert list(free_group_census._ranks(column, len(perms), bytes(s))) == expected
+    assert list(free_group_census._ranks(columns, bytes(s))) == expected
 
 
 def test_ranks_at_degree_one_and_ten():
-    assert list(free_group_census._ranks(lambda x: bytes(1), 1, bytes(1))) == [0]
-    assert list(free_group_census._ranks(lambda x: bytes(5), 5, bytes(1))) == [0] * 5
+    assert list(free_group_census._ranks([bytes(1)], bytes(1))) == [0]
+    assert list(free_group_census._ranks([bytes(5)], bytes(1))) == [0] * 5
     with pytest.raises(ValueError, match="degree <= 9"):
-        free_group_census._ranks(lambda x: bytes((x,)), 1, bytes(range(10)))
+        free_group_census._ranks([bytes((x,)) for x in range(10)], bytes(range(10)))
+
+
+def _cycle_type(perm):
+    lengths = []
+    seen = set()
+    for x in range(len(perm)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_class_minima_are_the_first_of_each_cycle_type(degree):
+    # Independent of the module's move tables: permutations are conjugate
+    # exactly when they share a cycle type, so the class minima are, in
+    # order, the first permutation of each type in lexicographic order.
+    types = len(partitions_of(degree))
+    firsts = {}
+    for perm in itertools.permutations(range(degree)):
+        firsts.setdefault(_cycle_type(perm), perm)
+        if len(firsts) == types:
+            break
+    assert [rep for (rep,) in orbit_representatives(1, degree)] == list(firsts.values())
 
 
 def test_class_walk_memory_peak():
-    # Ranking the conjugates one column at a time, in 2-byte lanes, from
-    # columns built from the table of S_7, keeps the traced peak of the
-    # (1, 8) walk near 0.56 MiB; the whole 8! x 8 table alone is 0.31 MiB,
-    # and an int and a dict entry per permutation take about 6.5 MiB.
-    orbit_representatives.cache_clear()
-    tracemalloc.start()
-    try:
-        reps = orbit_representatives(1, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(reps) == len(partitions_of(8))
-    assert peak <= 2**20
+    # S_d is held only as d blocks of (d - 1)! permutations, and the
+    # conjugates of one block are ranked, in 2-byte lanes at degree 8 and
+    # 4-byte lanes at degree 9, before the next block is built.  The
+    # traced peak is near 0.28 MiB at (1, 8), of which the two move tables
+    # take 0.15 MiB, and near 4.2 MiB at (1, 9), 2.8 MiB of it the two
+    # tables; the whole 8! x 8 table alone is 0.31 MiB, and an int and a
+    # dict entry per permutation of S_8 take about 6.5 MiB.
+    for degree, bound in ((8, 2**19), (9, 6 * 2**20)):
+        orbit_representatives.cache_clear()
+        tracemalloc.start()
+        try:
+            reps = orbit_representatives(1, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == len(partitions_of(degree))
+        assert peak <= bound, (degree, peak)
 
 
 def _orbit_count_brute(degree: int, length: int, shuffle_seed: int) -> int:

@@ -49,7 +49,8 @@ FIXED = [
     ["orbits", "--tuple-length", "1", "--m", "7"], ["orbits", "--tuple-length", "1", "--m", "8"],
     ["orbits", "--tuple-length", "1", "--m", "9"], ["orbits", "--tuple-length", "1", "--m", "10"],
     ["orbits", "--tuple-length", "2", "--m", "5"], ["orbits", "--tuple-length", "5", "--m", "3"],
-    ["subgroups", "--rank", "3", "--max-index", "4"],
+    ["subgroups", "--rank", "3", "--max-index", "4"], ["subgroups", "--rank", "1", "--max-index", "9"],
+    ["orbits", "--tuple-length", "4", "--m", "4"],
 ]
 # dims of the padded states, and the subsets that eval reads on each: with
 # and without a 1-dimensional member.
